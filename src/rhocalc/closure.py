@@ -143,11 +143,18 @@ def _rational_nth_root(c: Fraction, n: int) -> Optional[Fraction]:
     def iroot(m: int) -> Optional[int]:
         if m == 0:
             return 0
-        r = round(m ** (1.0 / n))
-        for cand in (r - 1, r, r + 1):
-            if cand >= 0 and cand ** n == m:
-                return cand
-        return None
+        if n == 2:
+            r = math.isqrt(m)
+        else:
+            # integer Newton from above: 2^ceil(bits/n) >= the root, and the
+            # iterates fall monotonically to floor(m^(1/n))
+            r = 1 << -(-m.bit_length() // n)
+            while True:
+                s = ((n - 1) * r + m // r ** (n - 1)) // n
+                if s >= r:
+                    break
+                r = s
+        return r if r ** n == m else None
 
     p, q = iroot(c.numerator), iroot(c.denominator)
     return Fraction(p, q) if p is not None and q is not None else None

@@ -21,14 +21,12 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import sympy as sp
-from scipy import integrate as sp_integrate
-from scipy import optimize as sp_optimize
 
 from .errors import (DomainError, MomentSystemError, ParameterError,
                      ProviderError, SpecError)
 from .funcs import (AsymptoticFunction, CallableProvider, CompactBox, Domain,
                     OpenBox, SmoothProvider, SumProvider, _alpha_tuple,
-                    _multi_indices, _quad_nodes, pair)
+                    _integrate_1d, _multi_indices, _quad_nodes, pair)
 from .series import LCNumber
 
 MOLLIFIER_BOUND_1D = 8   # largest supported moment order in dimension 1
@@ -48,17 +46,27 @@ class _Bump1D:
     _fns: dict = {}
 
     @classmethod
-    def eval(cls, t: np.ndarray, order: int = 0) -> np.ndarray:
+    def _fn(cls, order: int):
         if order not in cls._fns:
             cls._fns[order] = sp.lambdify(
                 cls._t, sp.diff(cls._expr, cls._t, order), modules=["numpy"])
+        return cls._fns[order]
+
+    @classmethod
+    def eval(cls, t: np.ndarray, order: int = 0) -> np.ndarray:
+        fn = cls._fn(order)
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         inside = np.abs(t) < 1.0 - 1e-12
         if np.any(inside):
             with np.errstate(all="ignore"):
-                out[inside] = cls._fns[order](t[inside])
+                out[inside] = fn(t[inside])
         return out
+
+    @classmethod
+    def at(cls, t: float, order: int = 0) -> float:
+        """``eval`` on one Python float."""
+        return float(cls._fn(order)(t)) if abs(t) < 1.0 - 1e-12 else 0.0
 
 
 def _bump_nd(points: np.ndarray, center: Sequence[float], width: float,
@@ -98,8 +106,16 @@ class TestFunction:
         return out
 
     def at(self, point, alpha=None) -> float:
-        p = np.asarray([point] if np.ndim(point) == 0 else point, dtype=float)
-        return float(self.evaluate(p.reshape(1, -1), alpha)[0])
+        a = _alpha_tuple(alpha, self.dim) if alpha is not None else (0,) * self.dim
+        p = [float(point)] if np.ndim(point) == 0 else [float(x) for x in point]
+        total = 0.0
+        for coeff, center, width in self.pieces:
+            if all(abs(x - c) < width for x, c in zip(p, center)):
+                val = coeff
+                for x, c, k in zip(p, center, a):
+                    val *= _Bump1D.at((x - c) / width, k) / width ** k
+                total += val
+        return float(total)
 
     def support_box(self) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
         r = self.support_radius
@@ -125,14 +141,7 @@ class TestFunction:
         a = _alpha_tuple(alpha, self.dim)
         total = 0.0
         for coeff, center, width in self.pieces:
-            lo = tuple(c - width for c in center)
-            hi = tuple(c + width for c in center)
-            pts, wts = _quad_nodes(lo, hi, panels=6, order=24)
-            mono = np.ones(pts.shape[0])
-            for i, k in enumerate(a):
-                mono = mono * pts[:, i] ** k
-            total += coeff * float(np.sum(wts * mono * _bump_nd(pts, center, width,
-                                                                (0,) * self.dim)))
+            total += coeff * _piece_moments(center, width, [a])[0]
         return total
 
     def shifted(self, offset: Sequence[float], scale: float = 1.0) -> "TestFunction":
@@ -142,6 +151,22 @@ class TestFunction:
                        for c, center, w in self.pieces)
         r = self.support_radius + max(abs(o) for o in off)
         return TestFunction(self.dim, pieces, r, self.l1_mass, self.moment_order)
+
+
+def _piece_moments(center, width: float, alphas) -> List[float]:
+    """∫ x^alpha ψ((x - center)/width) dx for each alpha, from one
+    evaluation of the bump on its Gauss nodes."""
+    lo = tuple(c - width for c in center)
+    hi = tuple(c + width for c in center)
+    pts, wts = _quad_nodes(lo, hi, panels=6, order=24)
+    bump = _bump_nd(pts, center, width, (0,) * len(center))
+    out = []
+    for a in alphas:
+        mono = np.ones(pts.shape[0])
+        for i, k in enumerate(a):
+            mono = mono * pts[:, i] ** k
+        out.append(float(np.sum(wts * mono * bump)))
+    return out
 
 
 def _basis_layout(n: int, d: int) -> List[Tuple[Tuple[float, ...], float]]:
@@ -181,12 +206,13 @@ def build_mollifier(n: int, d: int = 1, minimize_l1: bool = False) -> TestFuncti
     alphas = list(_multi_indices(d, n))
     if len(layout) < len(alphas):
         raise MomentSystemError("basis smaller than the constraint set")
-    # moment matrix M[k][j] = ∫ x^alpha_k psi_j
-    basis = [TestFunction(d, ((1.0, c, w),), 1.0) for c, w in layout]
-    M = np.array([[b.moment(a) for b in basis] for a in alphas])
+    # moment matrix M[k][j] = ∫ x^alpha_k psi_j; alphas[0] = 0, so its
+    # first row holds the masses ∫psi_j > 0
+    M = np.array([_piece_moments(c, w, alphas) for c, w in layout]).T
     rhs = np.array([1.0] + [0.0] * (len(alphas) - 1))
-    masses = np.array([b.moment((0,) * d) for b in basis])  # ∫psi_j > 0
+    masses = M[0]
     if minimize_l1:
+        from scipy import optimize as sp_optimize
         # minimize Σ |a_j| ∫psi_j  s.t.  M a = rhs  (split a = p - m, p,m ≥ 0)
         c = np.concatenate([masses, masses])
         A = np.hstack([M, -M])
@@ -395,6 +421,9 @@ class EmbeddedFunction(AsymptoticFunction):
         self.spec = spec
 
 
+_GL32_X, _GL32_W = np.polynomial.legendre.leggauss(32)
+
+
 class _HeavisideConv(SmoothProvider):
     """(H·Π ⋆ D)(x): cumulative kernel Ψ(x/rho), derivatives are shifted
     kernel derivatives; 1-D only.  The cut-off is omitted because the
@@ -405,6 +434,7 @@ class _HeavisideConv(SmoothProvider):
         self.dim = 1
         self.max_order = None
         self.quad_hints = [-kernel.support_radius, 0.0, kernel.support_radius]
+        self._mass = kernel.theta.moment(0)
 
     def evaluate(self, points, alpha=None):
         a = self._check_alpha(alpha)
@@ -412,18 +442,18 @@ class _HeavisideConv(SmoothProvider):
         if a[0] == 0:
             r = self.kernel.theta.support_radius
             t = pts / self.kernel.rho
-            out = np.zeros(len(t))
+            out = np.where(t >= r, self._mass, 0.0)
             mid = (t > -r) & (t < r)
-            out[t >= r] = self.kernel.theta.moment(0)
-            for i in np.nonzero(mid)[0]:
-                val = 0.0
-                for coeff, (c,), w in self.kernel.theta.pieces:
-                    a0, b0 = c - w, min(c + w, t[i])
-                    if b0 > a0:
-                        x, ww = np.polynomial.legendre.leggauss(32)
-                        m, h = (a0 + b0) / 2, (b0 - a0) / 2
-                        val += coeff * h * float(np.sum(ww * _Bump1D.eval((m + h * x - c) / w)))
-                out[i] = val
+            tm = t[mid]
+            val = np.zeros(len(tm))
+            for coeff, (c,), w in self.kernel.theta.pieces:
+                # 32-point Gauss on [c - w, min(c + w, t)], empty where t < c - w
+                a0 = c - w
+                b0 = np.clip(tm, a0, c + w)
+                m, h = (a0 + b0) / 2, (b0 - a0) / 2
+                nodes = (m[:, None] + h[:, None] * _GL32_X - c) / w
+                val += coeff * h * (_Bump1D.eval(nodes) @ _GL32_W)
+            out[mid] = val
             return out.astype(complex)
         # d/dx (H ⋆ D) = D, and further derivatives follow suit
         return self.kernel.evaluate(pts.reshape(-1, 1), (a[0] - 1,))
@@ -490,6 +520,9 @@ def _embed_provider(T, dom: Domain, kernel: DeltaKernel,
     raise SpecError(f"unsupported distribution spec {type(T).__name__}")
 
 
+_QUAD_DEFAULT_TOL = 1.49e-8   # QUADPACK's customary epsabs = epsrel
+
+
 def reference_pairing(T: DistributionSpec, tau: TestFunction) -> complex:
     """⟨T, τ⟩ computed directly from the definition of T."""
     if isinstance(T, DeltaAt):
@@ -499,10 +532,10 @@ def reference_pairing(T: DistributionSpec, tau: TestFunction) -> complex:
         return (-1) ** sum(a) * tau.at(T.point, a)
     if isinstance(T, Heaviside):
         hi = tau.support_radius
-        val, _ = sp_integrate.quad(lambda x: tau.at((x,)), 0.0, hi,
-                                   points=[h for h in tau.quad_hints() if 0 < h < hi],
-                                   limit=200)
-        return val
+        edges = [0.0] + [h for h in tau.quad_hints() if 0 < h < hi] + [hi]
+        val, _ = _integrate_1d(lambda x: tau.evaluate(x[:, None]), edges,
+                               _QUAD_DEFAULT_TOL, _QUAD_DEFAULT_TOL)
+        return float(val)
     if isinstance(T, LocallyIntegrableKernel):
         lo, hi = tau.support_box()
         pts, wts = _quad_nodes(lo, hi, panels=12, order=20)

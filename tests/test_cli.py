@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rhocalc
 from rhocalc.cli import main
 from rhocalc.errors import ParseError
 from rhocalc.parser import (Env, deserialize, evaluate, parse, render,
@@ -91,3 +96,14 @@ class TestCli:
     def test_float_backend(self, capsys):
         code, out = run(capsys, "--backend", "float", "eval", "st(exp(1+eps))")
         assert code == 0 and out.startswith("2.718281828")
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(rhocalc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, rhocalc; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

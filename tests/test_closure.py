@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rhocalc.errors import BackendError, DivisionByZero, RootError
 from rhocalc.closure import (LCInterval, LCPolynomial, effective_valuation,
                              inverse, lc_cos, lc_exp, lc_log, lc_sin,
                              nested_interval_point, nth_root, poly_roots,
-                             _poly_scale, sqrt)
+                             _poly_scale, _rational_nth_root, sqrt)
 from rhocalc.series import INF, LCNumber
 
 
@@ -70,6 +71,18 @@ class TestRoots:
         s = sqrt(R, horizon=Fraction(4))
         assert s.valuation() == Fraction(1, 2)
         assert (s * s - R).is_zero()
+
+    @given(st.integers(1, 10 ** 80), st.integers(1, 10 ** 80), st.integers(2, 7))
+    def test_exact_rational_roots(self, k, j, n):
+        # exact at magnitudes far beyond float range (up to ~10^560)
+        assert _rational_nth_root(Fraction(k, j) ** n, n) == Fraction(k, j)
+        # k^n < k^n + 1 < (k+1)^n, so no reduction makes this an n-th power
+        assert _rational_nth_root(Fraction(k ** n + 1, j ** n), n) is None
+
+    def test_sqrt_of_huge_and_tiny_leads(self):
+        for c in (Fraction(7 ** 2 * 10 ** 400), Fraction(3 ** 2, 10 ** 60)):
+            s = sqrt(c * (1 + R), horizon=Fraction(4))
+            assert s.leading_coefficient() ** 2 == c
 
 
 class TestTranscendental:

@@ -8,12 +8,16 @@ from rhocalc.errors import (ConnectivityError, DomainError, GlueError,
                             ModeError, ProviderError)
 from rhocalc.funcs import (AsymptoticFunction, AsymptoticPoint, CompactBox,
                            ConstProvider, Domain, ExprProvider,
-                           NegligibilityMode, OpenBox, eval_at, fn_add,
+                           NegligibilityMode, OpenBox, SmoothProvider,
+                           _gather_hints, _multi_indices, eval_at, fn_add,
                            fn_derive, fn_mul, fn_scale, fn_sub,
                            glue, gradient_constancy, is_moderate,
                            is_negligible, pair, partition_of_unity, restrict,
                            support, weak_equal)
-from rhocalc.mollify import reference_bump
+from rhocalc import mollify
+from rhocalc.mollify import (DeltaAt, DerivativeOfDelta, Heaviside,
+                             _basis_layout, build_mollifier,
+                             embed_distribution, reference_bump, rho_delta)
 from rhocalc.series import LCNumber, LCVector
 
 DOM = Domain.interval(-3.0, 3.0)
@@ -130,6 +134,104 @@ class TestPairing:
     def test_support_leak_raises(self):
         with pytest.raises(DomainError):
             pair(F("x1", Domain.interval(0, 1)), reference_bump(1))
+
+
+def _scipy_pairing(f, tau):
+    """The pairing of a single-term 1-D function by scalar scipy.quad on
+    the real and the imaginary part, with the breakpoint hints and the
+    default tolerances of ``pair``."""
+    from scipy import integrate
+    (_, prov), = f.terms
+    a, b = tau.support_box()[0][0], tau.support_box()[1][0]
+    hs = set(tau.quad_hints())
+    _gather_hints(prov, hs)
+    pts = sorted(h for h in hs if a < h < b)
+
+    def part(fn):
+        return lambda x: float(fn(prov.at((x,)) * tau.at((x,))))
+
+    re, _ = integrate.quad(part(np.real), a, b, points=pts, limit=300,
+                           epsabs=1e-12, epsrel=1e-10)
+    im, _ = integrate.quad(part(np.imag), a, b, points=pts, limit=300,
+                           epsabs=1e-12, epsrel=1e-10)
+    return complex(re, im)
+
+
+def _heaviside():
+    return (embed_distribution(Heaviside(), Domain.interval(-4.0, 4.0), 0.1, 1),
+            reference_bump(1, center=0.15, width=0.7))
+
+
+def _delta_square():
+    emb = embed_distribution(DeltaAt((0.0,)), DOM, 1e-3, 2)
+    return fn_mul(emb, emb), reference_bump(1, width=0.9)
+
+
+def _delta_prime():
+    return (embed_distribution(DerivativeOfDelta((1,), (0.0,)),
+                               Domain.interval(-4.0, 4.0), 1e-2, 4),
+            reference_bump(1, center=0.1, width=0.7))
+
+
+class _Counting(SmoothProvider):
+    """Pass-through provider that records the size of every evaluation."""
+
+    def __init__(self, base):
+        self.base = base
+        self.dim = base.dim
+        self.sizes = []
+
+    def evaluate(self, points, alpha=None):
+        self.sizes.append(len(points))
+        return self.base.evaluate(points, alpha)
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("case", [_heaviside, _delta_square, _delta_prime],
+                             ids=["heaviside", "delta-square", "delta-prime"])
+    def test_agrees_with_scipy_quad(self, case):
+        f, tau = case()
+        got = complex(pair(f, tau).coefficient(Fraction(0)))
+        want = _scipy_pairing(f, tau)
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_noisy_derivative_kernel(self):
+        # ∫|f| is ~1e5 times the pairing, and the kernel derivative's
+        # evaluation noise near its piece edges sits above the per-panel
+        # roundoff floor; the reference integrates by parts, -∫ D τ'
+        kernel = rho_delta(build_mollifier(3), 1e-2)
+        tau = reference_bump(1, center=0.002, width=0.686)
+        f = AsymptoticFunction([(Fraction(0), kernel.provider().derivative((1,)))], DOM)
+        got = complex(pair(f, tau).coefficient(Fraction(0)))
+        pts, wts = kernel.quad_nodes()
+        want = -float(np.sum(wts * kernel.evaluate(pts) * tau.evaluate(pts, (1,))))
+        assert abs(got - want) <= 1e-10 * abs(want)
+
+    def test_one_batched_evaluation_per_round(self):
+        emb = embed_distribution(DeltaAt((0.0,)), DOM, 1e-2, 3)
+        counting = _Counting(emb.terms[0][1])
+        f = AsymptoticFunction([(Fraction(0), counting)], DOM)
+        pair(f, reference_bump(1, center=0.1, width=0.7))
+        assert 0 < len(counting.sizes) <= 40
+        assert min(counting.sizes) > 1
+
+    def test_unresolvable_integrand_raises(self):
+        with pytest.raises(ProviderError):
+            pair(F("sin(1e7*x1)"), reference_bump(1))
+
+    @pytest.mark.parametrize("d,n", [(1, n) for n in range(9)] + [(2, n) for n in range(5)])
+    def test_mollifier_matches_per_basis_moments(self, d, n):
+        layout = _basis_layout(n, d)
+        alphas = list(_multi_indices(d, n))
+        basis = [mollify.TestFunction(d, ((1.0, c, w),), 1.0) for c, w in layout]
+        M = np.array([[b.moment(a) for b in basis] for a in alphas])
+        rhs = np.array([1.0] + [0.0] * (len(alphas) - 1))
+        if M.shape[0] == M.shape[1]:
+            coeffs = np.linalg.solve(M, rhs)
+        else:
+            coeffs, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+        want = tuple((float(a), c, w) for a, (c, w) in zip(coeffs, layout))
+        assert build_mollifier(n, d).pieces == want
 
 
 class TestSheaf:
