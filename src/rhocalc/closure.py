@@ -81,7 +81,12 @@ def _series_in(u: LCNumber, coeffs, H: Fraction) -> LCNumber:
 def inverse(x: LCNumber, horizon=None) -> LCNumber:
     """1/x.  The result horizon is the soundness bound h - 2v for
     truncated input; exact input gets relative depth ``horizon``
-    (default DEFAULT_DEPTH) past the leading exponent."""
+    (default DEFAULT_DEPTH) past the leading exponent, except that an
+    exact monomial c*rho^v has the exact inverse (1/c)*rho^-v when no
+    ``horizon`` is asked for."""
+    if horizon is None and x.horizon == INF and len(x.terms) == 1:
+        (v, c), = x.terms
+        return LCNumber([(-v, 1 / c)], backend=x.backend)
     v, c, u = _split_unit(x)
     H = _rel_horizon(x, horizon)
     geom = _series_in(u, lambda k: _one(x.backend) * (-1) ** k, H)

@@ -628,84 +628,92 @@ _GK_WG = np.array([0.129484966168869693270611432679082, 0.2797053914892766679014
 _GK_X = np.concatenate([-_GK_XK, _GK_XK[-2::-1]])
 _K15_W = np.concatenate([_GK_WK, _GK_WK[-2::-1]])
 _G7_W = np.concatenate([_GK_WG, _GK_WG[-2::-1]])
-_MAX_PANELS = 1000      # subintervals one 1-D integral may split into
+_MAX_BOXES = 1000      # boxes one integral may split into
 _ROUNDOFF = 50 * np.finfo(float).eps
 
 
-def _integrate_1d(fn, edges, epsabs: float, epsrel: float):
-    """∫ fn over [edges[0], edges[-1]] by adaptive G7/K15 on the panels
-    between consecutive edges.  ``fn`` maps a 1-D array of abscissae to
-    values.  Each round evaluates it once, on the 15 nodes of every active
-    panel together; a panel is accepted when |K15 - G7| is below its
-    length-share of max(epsabs, epsrel·|I|), or at the roundoff floor
-    50·eps·∫|fn| of the panel, and every other panel is bisected.  The
-    integral is also done once the error estimates of the active panels
+def _gk_tensor(d: int):
+    """Tensor G7/K15 rule on [-1, 1]^d: the Kronrod nodes (15^d, d), their
+    weights, the indices of the Gauss nodes among them and the Gauss
+    weights.  For d = 1 these are the 1-D rule itself."""
+    idx = np.array(list(itertools.product(range(15), repeat=d)))
+    gauss = np.flatnonzero(np.all(idx % 2 == 1, axis=1))
+    return (_GK_X[idx], np.prod(_K15_W[idx], axis=1), gauss,
+            np.prod(_G7_W[idx[gauss] // 2], axis=1))
+
+
+def _integrate(fn, edges, epsabs: float, epsrel: float):
+    """∫ fn over the box whose axis i runs from edges[i][0] to edges[i][-1],
+    by adaptive tensor G7/K15 on the boxes cut out by the edges of every
+    axis.  ``fn`` maps an (n, d) array of points to n values.  Each round
+    evaluates it once, on the 15^d nodes of every active box together; a
+    box is accepted when |K15 - G7| is below its volume-share of
+    max(epsabs, epsrel·|I|), or at the roundoff floor 50·eps·∫|fn| of the
+    box, and every other box is bisected across its widest side.  The
+    integral is also done once the error estimates of the active boxes
     sum to at most the tolerance: evaluation noise above the floor (a
     bump derivative near its support edge, scaled by 1/rho^2) never
-    meets a length-share on short panels, but adds little in total.
+    meets a volume-share on small boxes, but adds little in total.
     Returns (value, abserr); abserr may exceed the tolerance by the
-    roundoff of the accepted panels."""
-    edges = np.asarray(edges, dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    span = edges[-1] - edges[0]
+    roundoff of the accepted boxes."""
+    d = len(edges)
+    nodes, wk, gauss, wg = _gk_tensor(d)
+    cells = list(itertools.product(*(zip(e[:-1], e[1:]) for e in edges)))
+    lo = np.array([[a for a, _ in c] for c in cells], dtype=float)
+    hi = np.array([[b for _, b in c] for c in cells], dtype=float)
+    total = math.prod(float(e[-1]) - float(e[0]) for e in edges)
     value, abserr = 0.0, 0.0
-    panels = len(lo)
+    boxes = len(lo)
     while True:
         mid, half = (lo + hi) / 2, (hi - lo) / 2
-        f = fn((mid[:, None] + half[:, None] * _GK_X).ravel()).reshape(len(mid), 15)
+        jac = np.prod(half, axis=1)
+        pts = mid[:, None, :] + half[:, None, :] * nodes
+        f = fn(pts.reshape(-1, d)).reshape(len(mid), len(wk))
         if not np.all(np.isfinite(f)):
             raise ProviderError("integrand is not finite on the quadrature nodes")
-        k15 = half * (f @ _K15_W)
-        err = np.abs(k15 - half * (f[:, 1::2] @ _G7_W))
+        k15 = jac * (f @ wk)
+        err = np.abs(k15 - jac * (f[:, gauss] @ wg))
         tol = max(epsabs, epsrel * abs(value + k15.sum()))
         if err.sum() <= tol:
             return value + k15.sum(), abserr + err.sum()
-        ok = (err <= tol * (2 * half) / span) | (err <= _ROUNDOFF * half * (np.abs(f) @ _K15_W))
+        ok = (err <= tol * np.prod(hi - lo, axis=1) / total) | (err <= _ROUNDOFF * jac * (np.abs(f) @ wk))
         value += k15[ok].sum()
         abserr += err[ok].sum()
         if ok.all():
             return value, abserr
         lo, hi, mid = lo[~ok], hi[~ok], mid[~ok]
-        panels += len(lo)
-        if panels > _MAX_PANELS:
-            raise ProviderError(f"1-D quadrature did not converge within {_MAX_PANELS} panels")
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        boxes += len(lo)
+        if boxes > _MAX_BOXES:
+            raise ProviderError(f"quadrature did not converge within {_MAX_BOXES} boxes")
+        rows, axis = np.arange(len(lo)), np.argmax(hi - lo, axis=1)
+        left_hi, right_lo = hi.copy(), lo.copy()
+        left_hi[rows, axis] = right_lo[rows, axis] = mid[rows, axis]
+        lo, hi = np.concatenate([lo, right_lo]), np.concatenate([left_hi, hi])
 
 
-def pair(f: AsymptoticFunction, tau, quad_tol: float = 1e-12,
-         quad_panels: int = 10) -> LCNumber:
-    """⟨f, τ⟩ = Σ_q (∫ a_q τ) rho^q.  In dimension 1 each coefficient is
-    integrated as one complex integrand by batched adaptive Gauss-Kronrod
-    G7/K15 (absolute tolerance ``quad_tol``, relative 1e-10), starting from
-    panels split at the breakpoint hints of τ and the providers, so
-    kernel-scale spikes are resolved; a coefficient the panel budget cannot
-    resolve raises ``ProviderError``.  Higher dimensions use composite
-    Gauss over the support box of τ."""
+def pair(f: AsymptoticFunction, tau, quad_tol: float = 1e-12) -> LCNumber:
+    """⟨f, τ⟩ = Σ_q (∫ a_q τ) rho^q.  Each coefficient is integrated over
+    the support box of τ as one complex integrand by batched adaptive
+    tensor Gauss-Kronrod G7/K15 (absolute tolerance ``quad_tol``, relative
+    1e-10), starting from boxes cut at the breakpoint hints of τ and the
+    providers on every axis, so kernel-scale spikes are resolved; a
+    coefficient the box budget cannot resolve raises ``ProviderError``."""
     lo, hi = tau.support_box()
     supp = OpenBox(tuple(x - 1e-12 for x in lo), tuple(x + 1e-12 for x in hi))
     if not any(supp.inside(bb) for bb in f.domain.boxes):
         raise DomainError("test-function support leaks outside the domain")
     terms = {}
-    if f.domain.dim == 1:
-        a, b = lo[0], hi[0]
-        hints = set(h for h in (tau.quad_hints() if hasattr(tau, "quad_hints") else []))
-        for q, prov in f.terms:
-            hs = set(hints)
-            _gather_hints(prov, hs)
-            edges = [a] + sorted(h for h in hs if a < h < b) + [b]
+    hints = set(h for h in (tau.quad_hints() if hasattr(tau, "quad_hints") else []))
+    for q, prov in f.terms:
+        hs = set(hints)
+        _gather_hints(prov, hs)
+        edges = [[a] + sorted(h for h in hs if a < h < b) + [b] for a, b in zip(lo, hi)]
 
-            def fn(x, prov=prov):
-                pts = x[:, None]
-                return prov.evaluate(pts) * tau.evaluate(pts)
+        def fn(pts, prov=prov):
+            return prov.evaluate(pts) * tau.evaluate(pts)
 
-            val, _ = _integrate_1d(fn, edges, quad_tol, 1e-10)
-            terms[q] = terms.get(q, 0) + complex(val)
-    else:
-        pts, wts = _quad_nodes(lo, hi, panels=quad_panels)
-        tv = tau.evaluate(pts)
-        for q, prov in f.terms:
-            val = complex(np.sum(wts * tv * prov.evaluate(pts)))
-            terms[q] = terms.get(q, 0) + val
+        val, _ = _integrate(fn, edges, quad_tol, 1e-10)
+        terms[q] = terms.get(q, 0) + complex(val)
     return LCNumber(terms, horizon=f.horizon)
 
 

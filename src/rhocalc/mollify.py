@@ -26,7 +26,7 @@ from .errors import (DomainError, MomentSystemError, ParameterError,
                      ProviderError, SpecError)
 from .funcs import (AsymptoticFunction, CallableProvider, CompactBox, Domain,
                     OpenBox, SmoothProvider, SumProvider, _alpha_tuple,
-                    _integrate_1d, _multi_indices, _quad_nodes, pair)
+                    _integrate, _multi_indices, _quad_nodes, pair)
 from .series import LCNumber
 
 MOLLIFIER_BOUND_1D = 8   # largest supported moment order in dimension 1
@@ -122,11 +122,10 @@ class TestFunction:
         return tuple(-r for _ in range(self.dim)), tuple(r for _ in range(self.dim))
 
     def quad_hints(self) -> List[float]:
-        if self.dim != 1:
-            return []
         hs = set()
-        for _, (c,), w in self.pieces:
-            hs.update((c - w, c, c + w))
+        for _, center, w in self.pieces:
+            for c in center:
+                hs.update((c - w, c, c + w))
         return sorted(hs)
 
     def provider(self) -> SmoothProvider:
@@ -282,9 +281,8 @@ class DeltaKernel:
         def make(alpha):
             return lambda pts: self.evaluate(pts, alpha, center=c)
         p = CallableProvider(make, dim=self.dim)
-        if self.dim == 1:
-            r = self.support_radius
-            p.quad_hints = [float(c[0] - r), float(c[0]), float(c[0] + r)]
+        r = self.support_radius
+        p.quad_hints = sorted({float(ci + s * r) for ci in c for s in (-1, 0, 1)})
         return p
 
     def quad_nodes(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -533,8 +531,7 @@ def reference_pairing(T: DistributionSpec, tau: TestFunction) -> complex:
     if isinstance(T, Heaviside):
         hi = tau.support_radius
         edges = [0.0] + [h for h in tau.quad_hints() if 0 < h < hi] + [hi]
-        val, _ = _integrate_1d(lambda x: tau.evaluate(x[:, None]), edges,
-                               _QUAD_DEFAULT_TOL, _QUAD_DEFAULT_TOL)
+        val, _ = _integrate(tau.evaluate, [edges], _QUAD_DEFAULT_TOL, _QUAD_DEFAULT_TOL)
         return float(val)
     if isinstance(T, LocallyIntegrableKernel):
         lo, hi = tau.support_box()

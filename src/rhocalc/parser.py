@@ -302,8 +302,6 @@ def render(value) -> str:
         return str(v)
     if isinstance(value, Kind):
         return value.value
-    if isinstance(value, Fraction):
-        return "inf" if value == INF else str(value)
     return str(value)
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import BackendError, DivisionByZero, OrderError
 
-INF = Fraction(10**9)  # sentinel horizon:  +infinity (exact series)
+INF = math.inf         # horizon of an exact series, valuation of zero
 DUST_REL = 1e-13       # float backend: relative magnitude below which a
                        # coefficient is treated as accumulated roundoff
 
@@ -31,6 +31,25 @@ Coefficient = Union[Fraction, complex, float, int]
 
 def _as_exp(q) -> Fraction:
     return q if isinstance(q, Fraction) else Fraction(q)
+
+
+# Ring operations run on the exponent lattice (1/L)Z, L the common
+# denominator of both operands' exponents: each exponent q becomes the
+# integer numerator q*L, and a Fraction is rebuilt only for the terms of
+# the result.
+
+def _lattice(a, b, h):
+    """(L, top, a', b') for term tuples a and b under horizon h: a' and b'
+    hold the numerators q*L, and top = ceil(h*L) is the least numerator at
+    or beyond the horizon."""
+    L = math.lcm(*(q.denominator for q, _ in a), *(q.denominator for q, _ in b))
+    top = h if h == INF else -(-h.numerator * L // h.denominator)
+    return (L, top, [(q.numerator * (L // q.denominator), c) for q, c in a],
+            [(q.numerator * (L // q.denominator), c) for q, c in b])
+
+
+def _off_lattice(items, L: int) -> tuple:
+    return tuple((Fraction(k, L), c) for k, c in sorted(items))
 
 
 class Backend(Enum):
@@ -110,14 +129,9 @@ class LCNumber:
     __slots__ = ("terms", "horizon", "backend")
 
     def __init__(self, terms: Union[Mapping, Iterable, None] = None,
-                 horizon=INF, backend="float", _trusted=False):
+                 horizon=INF, backend="float"):
         backend = _coerce_backend(backend)
         horizon = _as_exp(horizon) if horizon != INF else INF
-        if _trusted:
-            self.terms = tuple(terms)
-            self.horizon = horizon
-            self.backend = backend
-            return
         items = terms.items() if isinstance(terms, Mapping) else (terms or ())
         acc: dict = {}
         for q, c in items:
@@ -145,8 +159,12 @@ class LCNumber:
     def zero(cls, backend="float") -> "LCNumber":
         return cls({}, backend=backend)
 
-    def _make(self, terms, horizon) -> "LCNumber":
-        return LCNumber(terms, horizon=horizon, backend=self.backend)
+    def _make(self, terms: tuple, horizon) -> "LCNumber":
+        """Trusted constructor for results: ``terms`` is already a sorted
+        tuple of nonzero terms below ``horizon``, so nothing is re-checked."""
+        x = object.__new__(LCNumber)
+        x.terms, x.horizon, x.backend = terms, horizon, self.backend
+        return x
 
     def coefficient(self, q) -> Coefficient:
         """Coefficient at exponent q; raises if q is beyond the horizon."""
@@ -167,7 +185,7 @@ class LCNumber:
     def truncate(self, h) -> "LCNumber":
         h = _as_exp(h) if h != INF else INF
         h = min(h, self.horizon)
-        return self._make([(q, c) for q, c in self.terms if q < h], h)
+        return self._make(tuple(t for t in self.terms if t[0] < h), h)
 
     # -- valuation ----------------------------------------------------
     def valuation(self) -> Fraction:
@@ -195,23 +213,29 @@ class LCNumber:
     def __add__(self, other) -> "LCNumber":
         other = self._join(other)
         h = min(self.horizon, other.horizon)
+        L, top, a, b = _lattice(self.terms, other.terms, h)
+        acc: dict = {}
         if self.backend is Backend.RATIONAL:
-            return self._make(list(self.terms) + list(other.terms), h)
+            for k, c in a + b:
+                if k < top:
+                    acc[k] = acc.get(k, 0) + c
+            return self._make(_off_lattice([t for t in acc.items() if t[1] != 0], L), h)
         # float backend: cancellation at an exponent leaves roundoff debris;
         # a coefficient tiny relative to what was summed there is noise
-        acc: dict = {}
         mag: dict = {}
-        for q, c in list(self.terms) + list(other.terms):
-            if q < h:
-                acc[q] = acc.get(q, 0j) + c
-                mag[q] = max(mag.get(q, 0.0), abs(c))
-        return self._make([(q, c) for q, c in acc.items()
-                           if abs(c) > DUST_REL * mag[q]], h)
+        for k, c in a + b:
+            if k < top:
+                acc[k] = acc.get(k, 0j) + c
+                mag[k] = max(mag.get(k, 0.0), abs(c))
+        return self._make(_off_lattice([(k, c) for k, c in acc.items()
+                                        if abs(c) > DUST_REL * mag[k]], L), h)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LCNumber":
-        return self._make([(q, -c) for q, c in self.terms], self.horizon)
+        # 0 - c rather than -c: like every sum here it leaves no negative
+        # zero in a float coefficient
+        return self._make(tuple((q, 0 - c) for q, c in self.terms), self.horizon)
 
     def __sub__(self, other) -> "LCNumber":
         return self + (-self._join(other))
@@ -230,20 +254,30 @@ class LCNumber:
         if other.horizon != INF:
             h = min(h, other.horizon + (v1 if v1 != INF else 0))
         if self.is_zero() or other.is_zero():
-            return self._make([], h)
+            return self._make((), h)
+        L, top, a, b = _lattice(self.terms, other.terms, h)
         acc: dict = {}
-        mag: dict = {}
-        for q1, c1 in self.terms:
-            for q2, c2 in other.terms:
-                q = q1 + q2
-                if q < h:
-                    p = c1 * c2
-                    acc[q] = acc.get(q, 0) + p
-                    mag[q] = max(mag.get(q, 0.0), abs(p)) if self.backend is Backend.FLOAT else 0.0
+        # both factors are sorted, so the first pair at or past the horizon
+        # ends the inner loop
         if self.backend is Backend.RATIONAL:
-            return self._make(acc, h)
-        return self._make([(q, c) for q, c in acc.items()
-                           if abs(c) > DUST_REL * mag[q]], h)
+            for k1, c1 in a:
+                for k2, c2 in b:
+                    k = k1 + k2
+                    if k >= top:
+                        break
+                    acc[k] = acc.get(k, 0) + c1 * c2
+            return self._make(_off_lattice([t for t in acc.items() if t[1] != 0], L), h)
+        mag: dict = {}
+        for k1, c1 in a:
+            for k2, c2 in b:
+                k = k1 + k2
+                if k >= top:
+                    break
+                p = c1 * c2
+                acc[k] = acc.get(k, 0) + p
+                mag[k] = max(mag.get(k, 0.0), abs(p))
+        return self._make(_off_lattice([(k, c) for k, c in acc.items()
+                                        if abs(c) > DUST_REL * mag[k]], L), h)
 
     __rmul__ = __mul__
 
@@ -281,8 +315,9 @@ class LCNumber:
         d = self - other
         return not d.terms  # agreement on the joint observable window
 
-    def __hash__(self):
-        return hash((self.terms, self.backend))
+    # == is agreement on the joint horizon window, which is not transitive,
+    # so no hash can respect it
+    __hash__ = None
 
     def sign(self) -> Sign:
         """Sign of the leading coefficient (rational backend order)."""

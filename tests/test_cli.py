@@ -12,7 +12,7 @@ from rhocalc.cli import main
 from rhocalc.errors import ParseError
 from rhocalc.parser import (Env, deserialize, evaluate, parse, render,
                             serialize)
-from rhocalc.series import LCNumber
+from rhocalc.series import INF, LCNumber
 
 
 def run(capsys, *argv):
@@ -44,6 +44,11 @@ class TestParser:
         assert render(evaluate(parse("classify(1/eps)"))) == "Infinite"
         assert render(evaluate(parse("st(1/eps)"))) == "+inf"
 
+    def test_rational_literal_is_exact(self):
+        x = evaluate(parse("3/5 + eps^12"))
+        assert x.terms == ((0, Fraction(3, 5)), (12, 1)) and x.horizon == INF
+        assert deserialize(serialize(x)).terms == x.terms
+
     def test_parse_error_position(self):
         with pytest.raises(ParseError) as e:
             parse("1 + * 2")
@@ -64,6 +69,10 @@ class TestCli:
     def test_eval(self, capsys):
         code, out = run(capsys, "eval", "st((sqrt(1+eps)-1)/eps)")
         assert code == 0 and out == "1/2"
+
+    def test_eval_exact_inverse_and_huge_exponent(self, capsys):
+        assert run(capsys, "eval", "1/eps") == (0, "r^-1")
+        assert run(capsys, "eval", "eps^1000000000") == (0, "r^1000000000")
 
     def test_classify(self, capsys):
         code, out = run(capsys, "classify", "eps + eps^2")

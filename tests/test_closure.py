@@ -32,6 +32,13 @@ class TestInverse:
             res = x * inverse(x, horizon=h) - 1
             assert res.is_zero() or res.valuation() >= 8
 
+    def test_exact_monomial(self):
+        x = LCNumber({Fraction(-3, 2): Fraction(4)}, backend="rational")
+        assert inverse(x).terms == ((Fraction(3, 2), Fraction(1, 4)),)
+        assert inverse(x).horizon == INF
+        # a requested horizon keeps the truncated result
+        assert inverse(x, horizon=Fraction(4)).horizon == 4
+
     def test_zero_raises(self):
         with pytest.raises(DivisionByZero):
             inverse(LCNumber.zero("rational"))

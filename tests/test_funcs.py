@@ -219,6 +219,31 @@ class TestQuadrature:
         with pytest.raises(ProviderError):
             pair(F("sin(1e7*x1)"), reference_bump(1))
 
+    @pytest.mark.parametrize("rho", [0.1, 0.03, 0.01])
+    def test_two_dim_delta(self, rho):
+        # a fixed 10-panel Gauss grid gave 1.50, 2.09, -4.13 here; at the
+        # default tolerance the box budget may run out, at 1e-4 it must not
+        tau = reference_bump(2, center=(0.1, -0.05), width=0.8)
+        emb = embed_distribution(DeltaAt((0.0, 0.0)),
+                                 Domain.box((-1.0, -1.0), (1.0, 1.0)), rho, 2)
+        want = tau.at((0.0, 0.0))
+        try:
+            got = complex(pair(emb, tau).coefficient(Fraction(0)))
+            assert abs(got - want) <= 25 * rho ** 3
+        except ProviderError:
+            pass
+        got = complex(pair(emb, tau, quad_tol=1e-4).coefficient(Fraction(0)))
+        assert abs(got - want) <= min(1e-4, 25 * rho ** 3)
+
+    def test_two_dim_smooth(self):
+        f = AsymptoticFunction([(Fraction(0), ConstProvider(5.0, dim=2)),
+                                (Fraction(1), ExprProvider("x1*x2", dim=2))],
+                               Domain.box((-1.0, -1.0), (1.0, 1.0)))
+        tau = reference_bump(2, center=(0.1, -0.05), width=0.8)
+        got = pair(f, tau)
+        assert complex(got.coefficient(Fraction(0))) == pytest.approx(5.0, rel=1e-10)
+        assert complex(got.coefficient(Fraction(1))) == pytest.approx(0.1 * -0.05, rel=1e-9)
+
     @pytest.mark.parametrize("d,n", [(1, n) for n in range(9)] + [(2, n) for n in range(5)])
     def test_mollifier_matches_per_basis_moments(self, d, n):
         layout = _basis_layout(n, d)

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rhocalc.errors import BackendError, OrderError
-from rhocalc.series import (INF, ExtendedScalar, Kind, LCNumber, LCVector,
-                            format_lc)
+from rhocalc.series import (DUST_REL, INF, ExtendedScalar, Kind, LCNumber,
+                            LCVector, format_lc)
 
 
 def rnum(rng, backend="rational", max_terms=4, horizon=INF):
@@ -146,3 +147,122 @@ class TestVector:
         assert v.valuation() == 1
         assert (v + v)[0] == 2 * r
         assert v.scale(r)[1] == r ** 3
+
+
+class TestInfinity:
+    def test_huge_exponents_are_real(self):
+        x = LCNumber.rho(2 * 10 ** 9, backend="rational")
+        assert not x.is_zero() and x.valuation() == 2 * 10 ** 9
+        assert (x * x).valuation() == 4 * 10 ** 9
+        assert INF > Fraction(10 ** 100)
+
+    def test_unhashable(self):
+        # 1 + rho^(1/2) and 1 known below rho^(1/4) agree on their joint
+        # window, 1 and 1 + rho^(1/2) exact do not: == is not transitive
+        a = LCNumber({0: Fraction(1), Fraction(1, 2): Fraction(1)}, backend="rational")
+        b = LCNumber({0: Fraction(1)}, horizon=Fraction(1, 4), backend="rational")
+        assert a == b
+        with pytest.raises(TypeError):
+            hash(a)
+        with pytest.raises(TypeError):
+            {a, b}
+
+
+# -- the kernel against the Fraction-keyed accumulation it replaced ---------
+
+def ref_add(x, y):
+    h = min(x.horizon, y.horizon)
+    acc, mag = {}, {}
+    for q, c in x.terms + y.terms:
+        if q < h:
+            acc[q] = acc.get(q, 0 if x.backend.value == "rational" else 0j) + c
+            mag[q] = max(mag.get(q, 0.0), abs(c))
+    return _ref_clean(x, acc, mag), h
+
+
+def ref_mul(x, y):
+    v1, v2 = x.valuation(), y.valuation()
+    h = INF
+    if x.horizon != INF:
+        h = min(h, x.horizon + (v2 if v2 != INF else 0))
+    if y.horizon != INF:
+        h = min(h, y.horizon + (v1 if v1 != INF else 0))
+    acc, mag = {}, {}
+    for q1, c1 in x.terms:
+        for q2, c2 in y.terms:
+            q = q1 + q2
+            if q < h:
+                p = c1 * c2
+                acc[q] = acc.get(q, 0) + p
+                mag[q] = max(mag.get(q, 0.0), abs(p))
+    return _ref_clean(x, acc, mag), h
+
+
+def _ref_clean(x, acc, mag):
+    if x.backend.value == "rational":
+        kept = [(q, c) for q, c in acc.items() if c != 0]
+    else:
+        kept = [(q, c) for q, c in acc.items() if abs(c) > DUST_REL * mag[q]]
+    return tuple(sorted(kept, key=lambda t: t[0]))
+
+
+# denominators 1..12; numerators near 0 or beyond 10^12, so that large
+# exponents still meet in sums and products
+EXPS = st.builds(lambda n, big, d: Fraction(n + big, d),
+                 st.integers(-30, 30), st.sampled_from((0, 10 ** 13, -10 ** 13)),
+                 st.integers(1, 12))
+RAT_COEFFS = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+# few distinct magnitudes, so sums cancel exactly and leave float dust
+FLOAT_COEFFS = st.builds(complex, st.sampled_from((1.0, -1.0, 0.1, -0.3, 1e-14, 2.5)),
+                         st.sampled_from((0.0, 0.2, -0.7, 1e-15)))
+HORIZONS = st.one_of(st.just(INF), EXPS)
+
+
+@st.composite
+def lcnums(draw, backend):
+    coeffs = RAT_COEFFS if backend == "rational" else FLOAT_COEFFS
+    terms = draw(st.dictionaries(EXPS, coeffs, max_size=6))
+    # a horizon just above a term puts that term right below the bound
+    above = st.builds(lambda q, m: q + Fraction(1, m),
+                      st.sampled_from(sorted(terms) or [Fraction(0)]),
+                      st.sampled_from((2, 7, 10 ** 6)))
+    h = draw(st.one_of(st.just(INF), EXPS, above))
+    return LCNumber(terms, horizon=h, backend=backend)
+
+
+def same(got, want):
+    return got.terms == want[0] and got.horizon == want[1]
+
+
+class TestKernel:
+    @settings(deadline=None)
+    @given(st.data(), st.sampled_from(("rational", "float")))
+    def test_matches_fraction_reference(self, data, backend):
+        x, y = data.draw(lcnums(backend)), data.draw(lcnums(backend))
+        assert same(x + y, ref_add(x, y))
+        assert same(x * y, ref_mul(x, y))
+        assert same(x - y, ref_add(x, -y))
+
+    @settings(deadline=None)
+    @given(lcnums("rational"), lcnums("rational"), lcnums("rational"))
+    def test_ring_laws(self, x, y, z):
+        for a, b in ((x + y, y + x), (x * y, y * x)):
+            assert a.terms == b.terms and a.horizon == b.horizon
+        assert x * (y + z) == x * y + x * z
+
+    @settings(deadline=None)
+    @given(st.data(), st.sampled_from(("rational", "float")))
+    def test_valuation_is_additive(self, data, backend):
+        x, y = data.draw(lcnums(backend)), data.draw(lcnums(backend))
+        if not x.is_zero() and not y.is_zero():
+            v = x.valuation() + y.valuation()
+            assert (x * y).valuation() == (v if v < (x * y).horizon else INF)
+
+    @settings(deadline=None)
+    @given(lcnums("rational"), lcnums("rational"), HORIZONS, HORIZONS)
+    def test_horizon_soundness(self, x, y, h1, h2):
+        # terms a truncated computation reports are those of the exact one
+        X, Y = LCNumber(x.terms, backend="rational"), LCNumber(y.terms, backend="rational")
+        a, b = X.truncate(h1), Y.truncate(h2)
+        for got, exact in ((a + b, X + Y), (a * b, X * Y)):
+            assert got.terms == exact.truncate(got.horizon).terms
