@@ -17,7 +17,13 @@ Mini-grammars
               "sampled:a,b,…"
     dist KIND "delta" | "ddelta" | "heaviside"
 
-Exit codes: 0 success, 2 parse error, 3 domain error.
+Global options
+    --horizon H     truncation horizon: a rational, or ``inf`` for exact
+                    series (the default)
+
+Exit codes: 0 success; 2 parse error, in an expression or an option
+value; 3 domain error, and any other failure of a command, which is
+reported on one line as ``error: <Type>: <message>``.
 """
 
 from __future__ import annotations
@@ -34,7 +40,13 @@ EXIT_OK, EXIT_PARSE, EXIT_DOMAIN = 0, 2, 3
 
 
 def _env(args) -> Env:
-    horizon = INF if args.horizon is None else Fraction(args.horizon)
+    text = args.horizon
+    if text is None or text.strip() == "inf":
+        return Env(backend=args.backend, horizon=INF)
+    try:
+        horizon = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"--horizon needs a rational or inf, got {text!r}")
     return Env(backend=args.backend, horizon=horizon)
 
 
@@ -126,13 +138,16 @@ def _repl(env: Env) -> int:
             print(f"parse error: {exc}")
         except RhoCalcError as exc:
             print(f"error: {exc}")
+        except Exception as exc:  # noqa: BLE001 - the session goes on
+            print(f"error: {type(exc).__name__}: {exc}")
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="asym", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--backend", choices=["rational", "float"], default="rational")
-    ap.add_argument("--horizon", default=None, help="truncation horizon (rational)")
+    ap.add_argument("--horizon", default=None,
+                    help="truncation horizon: a rational, or inf (exact; the default)")
     ap.add_argument("--emit", choices=["text", "csv", "json"], default="text")
     sub = ap.add_subparsers(dest="cmd")
 
@@ -170,6 +185,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except RhoCalcError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except Exception as exc:  # noqa: BLE001 - no traceback leaves the CLI
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

@@ -1,10 +1,13 @@
 """Algebraic and analytic closure operations on truncated series.
 
-Multiplicative inverses and n-th roots are computed by factoring out the
-leading monomial and summing the geometric/binomial series in the
-remaining infinitesimal.  Polynomial root finding lifts first-order
-(Newton polygon) data to full series roots by Newton iteration, with
-recentering recursion for clusters that share a leading term.
+Multiplicative inverses and n-th roots factor out the leading monomial,
+x = c*rho^v*(1 + u), and compute (1 + u)^(-1/n) by Newton iteration,
+which doubles the exponent below which the iterate is exact at each
+step (Brent & Kung, "Fast algorithms for manipulating formal power
+series", J. ACM 25, 1978): O(log H) products for the relative depth H.
+Polynomial root finding lifts first-order (Newton polygon) data to full
+series roots by Newton iteration whose working cut grows the same way,
+with recentering recursion for clusters that share a leading term.
 Transcendental functions are lifted through their Taylor series around
 the standard part.  Cantor completeness is witnessed constructively on
 nested interval chains.
@@ -21,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import (BackendError, DivisionByZero, DomainError, LiftError,
-                     OrderError, RootError)
+                     NestingError, OrderError, RootError)
 from .series import INF, Backend, Kind, LCNumber, _as_exp
 
 DEFAULT_DEPTH = Fraction(10)  # relative series depth used for exact inputs
@@ -59,8 +62,38 @@ def _split_unit(x: LCNumber) -> Tuple[Fraction, object, LCNumber]:
     return v, c, rest
 
 
+def _exact(x: LCNumber) -> LCNumber:
+    """x's terms as an exact series.  A Newton iterate is a number in its
+    own right, not an approximation with unknown tail: a horizon on it
+    would only pull the horizons of the next products down to the old
+    precision."""
+    return x._make(x.terms, INF)
+
+
+def _inv_root(u: LCNumber, n: int, H: Fraction) -> LCNumber:
+    """(1 + u)^(-1/n) for infinitesimal u, with its terms below exponent H,
+    as an exact series.  Newton step z <- z + z*(1 - (1 + u)*z^n)/n: if z
+    is exact below p, the residual (1 + u)*z^n - 1 starts at p and the
+    new z is exact below 2p, so each product is cut at 2p."""
+    z = LCNumber.from_scalar(_one(u.backend), backend=u.backend.value)
+    unit = z + u
+    p = u.valuation()
+    while p < H:
+        p2 = min(2 * p, H)
+        zt = z.truncate(p2)
+        r = unit.truncate(p2)
+        for _ in range(n):
+            r = r * zt
+        # r = 1 + (terms from p on); below p only float roundoff is left
+        d = z._make(tuple((q, -c / n) for q, c in r.terms if q >= p), p2)
+        z = _exact(z + z * d)
+        p = p2
+    return z.truncate(H)
+
+
 def _series_in(u: LCNumber, coeffs, H: Fraction) -> LCNumber:
-    """Sum coeffs[k] * u^k for infinitesimal u, truncated below exponent H."""
+    """Sum coeffs[k] * u^k for infinitesimal u, truncated below exponent H
+    (the Taylor lifts of exp, sin, cos and log)."""
     out = LCNumber.from_scalar(coeffs(0), backend=u.backend.value).truncate(H)
     if u.is_zero():
         return out
@@ -89,25 +122,13 @@ def inverse(x: LCNumber, horizon=None) -> LCNumber:
         return LCNumber([(-v, 1 / c)], backend=x.backend)
     v, c, u = _split_unit(x)
     H = _rel_horizon(x, horizon)
-    geom = _series_in(u, lambda k: _one(x.backend) * (-1) ** k, H)
+    geom = _inv_root(u, 1, H)
     cinv = Fraction(1) / c if isinstance(c, Fraction) else 1 / c
     scaled = LCNumber([(q - v, cc * cinv) for q, cc in geom.terms],
                       horizon=H - v, backend=x.backend.value)
     if x.horizon != INF:
         scaled = scaled.truncate(x.horizon - 2 * v)
     return scaled
-
-
-def _binom_coeffs(alpha: Fraction):
-    cache = [Fraction(1)]
-
-    def coeff(k: int) -> Fraction:
-        while len(cache) <= k:
-            j = len(cache) - 1
-            cache.append(cache[-1] * (alpha - j) / (j + 1))
-        return cache[k]
-
-    return coeff
 
 
 def nth_root(x: LCNumber, n: int, branch: int = 0, horizon=None) -> LCNumber:
@@ -132,9 +153,11 @@ def nth_root(x: LCNumber, n: int, branch: int = 0, horizon=None) -> LCNumber:
         croot = r ** (1.0 / n) * cmath.exp(1j * (phi + 2 * math.pi * (branch % n)) / n)
     H = _rel_horizon(x, horizon)
     alpha = Fraction(1, n)
-    bc = _binom_coeffs(alpha)
-    coeffs = (lambda k: bc(k)) if x.backend is Backend.RATIONAL else (lambda k: complex(bc(k)))
-    body = _series_in(u, coeffs, H)
+    # (1 + u)^(1/n) = (1 + u) * z^(n-1) with z = (1 + u)^(-1/n)
+    z = _inv_root(u, n, H)
+    body = (1 + u).truncate(H)
+    for _ in range(n - 1):
+        body = body * z
     out = LCNumber([(q + v * alpha, cc * croot) for q, cc in body.terms],
                    horizon=H + v * alpha, backend=x.backend.value)
     return out
@@ -294,10 +317,16 @@ class LCPolynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, x: LCNumber) -> LCNumber:
+    def __call__(self, x: LCNumber, below=INF) -> LCNumber:
+        """p(x); with ``below``, only its terms below that exponent: each
+        Horner partial sum is cut where the products still to come can
+        reach, so the products stop there too."""
         out = LCNumber.zero(backend=self.backend.value)
-        for c in reversed(self.coeffs):
-            out = out * x + c
+        mu = 0 if x.is_zero() else x.valuation()
+        for j in range(self.degree, -1, -1):
+            out = out * x + self.coeffs[j]
+            if below != INF:
+                out = out.truncate(below - j * mu)
         return out
 
     def derivative(self) -> "LCPolynomial":
@@ -479,19 +508,39 @@ def _clean(x: LCNumber, tol: float) -> LCNumber:
 
 
 def _newton_refine(poly: LCPolynomial, x0: LCNumber, target: Fraction) -> LCNumber:
+    """Newton iteration from the simple-root lead x0 (valuation mu) until
+    the step f(x)/f'(x) has valuation >= target.
+
+    A step of valuation s leaves an error of valuation >= 2s - mu, so each
+    step is computed only below that exponent, and the next f(x) below
+    the exponent the step after it can reach; x itself is held exact.
+    Convergence is accepted only on an f(x) evaluated at the full cut
+    target + v(f'(x)) (or at the horizon of the coefficients)."""
     dp = poly.derivative()
-    work = target + 8
     tol = _POLY_DUST * _poly_scale(poly, x0)
-    x = x0
+    mu = x0.valuation()
+    x, d = x0, dp(x0).valuation()     # x0 is a monomial: cheap to evaluate
+    goal = target
     for _ in range(64):
-        fx = _clean(poly(x).truncate(work + x0.valuation()), tol)
-        dx = dp(x)
+        cut = goal + d
+        fx = _clean(poly(x, below=cut), tol)
+        if fx.is_zero():
+            if goal >= target or fx.horizon < cut:
+                return _clean(x, tol).truncate(target)
+            goal = min(2 * goal - mu, target)    # x is exact below goal
+            continue
+        s = fx.valuation() - d
+        if s >= target:
+            return _clean(x, tol).truncate(target)
+        nxt = min(2 * s - mu, goal) if s > mu else goal
+        dx = dp(x, below=d + nxt - s)
         if dx.is_zero():
             raise LiftError("Newton derivative vanished on a presumed simple root")
-        if fx.is_zero() or fx.valuation() - dx.valuation() >= target:
-            return _clean(x, tol).truncate(target)
-        step = fx * inverse(dx, horizon=work)
-        x = _clean((x - step).truncate(work), tol)
+        step = (fx * inverse(dx, horizon=nxt - fx.valuation())).truncate(nxt)
+        x = _clean(x - step, tol)
+        d = dx.valuation()
+        goal = min(2 * x.horizon - mu, target)
+        x = _exact(x)
     raise LiftError("Newton refinement did not reach the requested precision")
 
 
@@ -529,7 +578,7 @@ def nested_interval_point(intervals: Sequence[LCInterval]) -> LCNumber:
     prev = chain[0]
     for cur in chain[1:]:
         if not (prev.lo <= cur.lo and cur.hi <= prev.hi):
-            raise OrderError("intervals are not nested")
+            raise NestingError("intervals are not nested")
         wp, wc = prev.width().valuation(), cur.width().valuation()
         if not (wc > wp or wc == INF):
             raise OrderError("interval widths must shrink in valuation")

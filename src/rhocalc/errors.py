@@ -13,11 +13,7 @@ class OrderError(RhoCalcError):
     """Ordering requested on a value that is not real-flagged."""
 
 
-class DecompositionError(RhoCalcError):
-    """Standard-part decomposition requested on an infinite element."""
-
-
-class DimensionError(RhoCalcError):
+class DimensionError(OrderError):
     """Vector/point dimension mismatch."""
 
 
@@ -37,7 +33,7 @@ class LiftError(RhoCalcError):
     """Newton lifting stalled before reaching the target residual valuation."""
 
 
-class NestingError(RhoCalcError):
+class NestingError(OrderError):
     """Interval family is not nested."""
 
 

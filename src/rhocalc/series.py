@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import BackendError, DivisionByZero, OrderError
+from .errors import BackendError, DimensionError, DivisionByZero, OrderError
 
 INF = math.inf         # horizon of an exact series, valuation of zero
 DUST_REL = 1e-13       # float backend: relative magnitude below which a
@@ -246,13 +246,16 @@ class LCNumber:
     def __mul__(self, other) -> "LCNumber":
         other = self._join(other)
         # horizon: unknown tail of one factor meets the leading term of the
-        # other, so the product is sound up to min(h1+v2, h2+v1).
-        v1, v2 = self.valuation(), other.valuation()
+        # other, so the product is sound up to min(h1+v2, h2+v1); a factor
+        # with no known terms leads at its horizon at the earliest (an
+        # exact zero makes the product exactly zero)
+        v1 = self.terms[0][0] if self.terms else self.horizon
+        v2 = other.terms[0][0] if other.terms else other.horizon
         h = INF
         if self.horizon != INF:
-            h = min(h, self.horizon + (v2 if v2 != INF else 0))
+            h = min(h, self.horizon + v2)
         if other.horizon != INF:
-            h = min(h, other.horizon + (v1 if v1 != INF else 0))
+            h = min(h, other.horizon + v1)
         if self.is_zero() or other.is_zero():
             return self._make((), h)
         L, top, a, b = _lattice(self.terms, other.terms, h)
@@ -437,12 +440,12 @@ class LCVector:
 
     def __add__(self, other: "LCVector") -> "LCVector":
         if len(other) != len(self):
-            raise OrderError("dimension mismatch")
+            raise DimensionError("dimension mismatch")
         return LCVector([a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "LCVector") -> "LCVector":
         if len(other) != len(self):
-            raise OrderError("dimension mismatch")
+            raise DimensionError("dimension mismatch")
         return LCVector([a - b for a, b in zip(self.entries, other.entries)])
 
     def scale(self, a: LCNumber) -> "LCVector":

@@ -126,7 +126,7 @@ def _rand_coeff(rng):
 def test_criterion_04_roots_and_closure(report):
     """200 random monic quadratics + 50 cubics: residual valuation >= 8 and
     factor-back termwise error < 1e-8; sqrt/cbrt round-trips hold to the
-    requested horizon, in under 30 s."""
+    requested horizon, in under 10 s."""
     t0 = time.time()
     rng = random.Random(404)
     ok = True
@@ -167,7 +167,7 @@ def test_criterion_04_roots_and_closure(report):
         res = c ** 3 - x
         ok &= res.is_zero() or effective_valuation(res, 1e-10) >= res.horizon
     dt = time.time() - t0
-    ok &= dt < 30.0
+    ok &= dt < 10.0
     report(4, "algebraic closure (roots)", ok, f"{dt:.1f}s")
 
 

@@ -91,6 +91,24 @@ class TestCli:
         code, out = run(capsys, "eval", "1/(eps - eps)")
         assert code == 3
 
+    def test_horizon_inf_is_exact(self, capsys):
+        assert run(capsys, "--horizon", "inf", "eval", "1") == (0, "1")
+        assert run(capsys, "--horizon", "inf", "eval", "eps^40") == (0, "r^40")
+
+    @pytest.mark.parametrize("horizon", ["1/0", "abc"])
+    def test_bad_horizon_is_parse_error(self, capsys, horizon):
+        code, out = run(capsys, "--horizon", horizon, "eval", "1")
+        assert code == 2
+        assert out.startswith("parse error: --horizon") and "\n" not in out
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-to-str digit limit in this interpreter")
+    def test_other_failure_is_one_line_exit_3(self, capsys):
+        # printing 2^100000 passes the interpreter's int-to-str digit limit
+        code, out = run(capsys, "eval", "2^100000")
+        assert code == 3
+        assert out.startswith("error: ValueError: ") and "\n" not in out
+
     def test_filter_subcommand(self, capsys):
         code, out = run(capsys, "filter", "eq", "periodic:0,1", "const:0")
         assert code == 0 and "False" in out

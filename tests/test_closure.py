@@ -1,15 +1,19 @@
+import cmath
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from rhocalc.errors import BackendError, DivisionByZero, RootError
+from rhocalc.errors import (BackendError, DivisionByZero, NestingError,
+                            OrderError, RootError)
 from rhocalc.closure import (LCInterval, LCPolynomial, effective_valuation,
                              inverse, lc_cos, lc_exp, lc_log, lc_sin,
                              nested_interval_point, nth_root, poly_roots,
-                             _poly_scale, _rational_nth_root, sqrt)
-from rhocalc.series import INF, LCNumber
+                             _poly_scale, _rational_nth_root, _rel_horizon,
+                             _split_unit, sqrt)
+from rhocalc.series import INF, Backend, LCNumber
 
 
 R = LCNumber.rho(backend="rational")
@@ -92,6 +96,141 @@ class TestRoots:
             assert s.leading_coefficient() ** 2 == c
 
 
+# -- the term-by-term closure, kept as a reference ---------------------------
+
+def _ref_unit_power(u, alpha, H):
+    """(1 + u)^alpha below exponent H, summing binom(alpha, k) * u^k one
+    term at a time: the algorithm inverse and nth_root used before Newton
+    doubling, O(H / v(u)) products."""
+    rational = u.backend is Backend.RATIONAL
+    one = Fraction(1) if rational else 1.0
+    out = LCNumber.from_scalar(one, backend=u.backend).truncate(H)
+    term = LCNumber.from_scalar(one, backend=u.backend)
+    b, k = Fraction(1), 0
+    while not u.is_zero() and (k + 1) * u.valuation() < H:
+        b = b * (alpha - k) / (k + 1)
+        k += 1
+        term = (term * u).truncate(H)
+        out = out + term * LCNumber.from_scalar(b if rational else complex(b),
+                                                backend=u.backend)
+    return out.truncate(H)
+
+
+def _ref_inverse(x, horizon=None):
+    v, c, u = _split_unit(x)
+    H = _rel_horizon(x, horizon)
+    geom = _ref_unit_power(u, Fraction(-1), H)
+    out = LCNumber([(q - v, cc * (1 / c)) for q, cc in geom.terms],
+                   horizon=H - v, backend=x.backend)
+    return out.truncate(x.horizon - 2 * v) if x.horizon != INF else out
+
+
+def _ref_nth_root(x, n, branch=0, horizon=None):
+    v, c, u = _split_unit(x)
+    if x.backend is Backend.RATIONAL:
+        croot = _rational_nth_root(c, n)
+    else:
+        croot = abs(c) ** (1.0 / n) * cmath.exp(
+            1j * (cmath.phase(c) + 2 * math.pi * (branch % n)) / n)
+    H = _rel_horizon(x, horizon)
+    body = _ref_unit_power(u, Fraction(1, n), H)
+    return LCNumber([(q + v / n, cc * croot) for q, cc in body.terms],
+                    horizon=H + v / n, backend=x.backend)
+
+
+@st.composite
+def units(draw, backend, n=1):
+    """(x, horizon): a leading term and 1-4 tail terms on the lattice
+    1/den, den = 1..12, with the input horizon and the requested horizon
+    each absent or 1..32 past the lead.  Horizons stay within 96 lattice
+    steps of the lead, so the term-by-term reference stays fast."""
+    den = draw(st.integers(1, 12))
+    steps = min(32 * den, 96)
+    v = Fraction(draw(st.integers(-3 * den, 3 * den)), den)
+    ks = draw(st.lists(st.integers(1, steps), min_size=1, max_size=4, unique=True))
+    if backend == "rational":
+        a, b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        lead = Fraction(a, b) ** n
+        tail = [Fraction(draw(st.integers(-9, 9).filter(bool)), draw(st.integers(1, 6)))
+                for _ in ks]
+    else:
+        # tail magnitudes sum below the lead, so coefficients stay bounded
+        r = draw(st.floats(1.0, 2.0))
+        lead = cmath.rect(r, draw(st.floats(0.0, 2 * math.pi)))
+        tail = [cmath.rect(r * draw(st.floats(0.01, 0.2)), draw(st.floats(0.0, 2 * math.pi)))
+                for _ in ks]
+    hx = draw(st.one_of(st.none(), st.integers(1, steps)))
+    hp = draw(st.one_of(st.none(), st.integers(-1, steps)))
+    terms = {v: lead, **{v + Fraction(k, den): c for k, c in zip(ks, tail)}}
+    x = LCNumber(terms, horizon=INF if hx is None else v + Fraction(hx, den), backend=backend)
+    # a requested horizon h asks for relative depth h + v(x)
+    return x, None if hp is None else Fraction(hp, den) - v
+
+
+def _agree(got, want):
+    """Float results: same horizon, terms within 1e-12 of the largest."""
+    assert got.horizon == want.horizon
+    g, w = dict(got.terms), dict(want.terms)
+    scale = max([abs(c) for c in w.values()] + [1e-300])
+    for q in set(g) | set(w):
+        assert abs(g.get(q, 0) - w.get(q, 0)) <= 1e-12 * scale, q
+
+
+class TestNewtonClosure:
+    """Newton-doubling inverse and n-th root against the term-by-term sum."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(units("rational"))
+    def test_inverse_rational_exact(self, xh):
+        x, h = xh
+        got, want = inverse(x, horizon=h), _ref_inverse(x, horizon=h)
+        assert got.terms == want.terms and got.horizon == want.horizon
+
+    @settings(deadline=None, max_examples=60)
+    @given(units("float"))
+    def test_inverse_float(self, xh):
+        x, h = xh
+        _agree(inverse(x, horizon=h), _ref_inverse(x, horizon=h))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @settings(deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_nth_root_rational_exact(self, n, data):
+        x, h = data.draw(units("rational", n))
+        got, want = nth_root(x, n, horizon=h), _ref_nth_root(x, n, horizon=h)
+        assert got.terms == want.terms and got.horizon == want.horizon
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @settings(deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_nth_root_float(self, n, data):
+        x, h = data.draw(units("float"))
+        branch = data.draw(st.integers(0, n - 1))
+        _agree(nth_root(x, n, branch=branch, horizon=h),
+               _ref_nth_root(x, n, branch=branch, horizon=h))
+
+    def test_inverse_product_count(self, monkeypatch):
+        # u of valuation 1/8, relative depth 32: 256 lattice steps.  The
+        # term-by-term sum made 510 products; doubling takes 8 steps of 2.
+        x = LCNumber({Fraction(0): Fraction(1), Fraction(1, 8): Fraction(1),
+                      Fraction(3, 8): Fraction(-2)}, backend="rational")
+        count = 0
+        mul = LCNumber.__mul__
+
+        def counting(self, other):
+            nonlocal count
+            count += 1
+            return mul(self, other)
+
+        monkeypatch.setattr(LCNumber, "__mul__", counting)
+        inv = inverse(x, horizon=Fraction(32))
+        monkeypatch.undo()
+        assert count <= 20
+        assert len(inv.terms) == 256 and inv.horizon == 32
+        res = x * inv - 1
+        assert res.is_zero() or res.valuation() >= 32
+
+
 class TestTranscendental:
     def test_exp_log_inverse(self):
         x = R + 2 * R ** 2
@@ -129,6 +268,20 @@ class TestPolynomial:
         dp = p.derivative()
         assert dp(LCNumber.from_scalar(Fraction(0), "rational")) == \
             LCNumber.from_scalar(Fraction(-2), "rational")
+
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_eval_below_cut(self, backend):
+        rng = random.Random(3)
+        for _ in range(20):
+            cs = [LCNumber({Fraction(rng.randint(-4, 6), rng.randint(1, 3)):
+                            Fraction(rng.randint(1, 9)) for _ in range(3)}, backend=backend)
+                  for _ in range(rng.randint(1, 5))]
+            x = LCNumber({Fraction(rng.randint(-3, 3), rng.randint(1, 2)) + k: Fraction(k + 1)
+                          for k in range(3)}, backend=backend)
+            p, cut = LCPolynomial(cs), Fraction(rng.randint(-6, 12), rng.randint(1, 4))
+            got, full = p(x, below=cut), p(x).truncate(cut)
+            assert got.horizon == cut
+            assert got.terms == full.terms
 
     def test_shift(self):
         one = LCNumber.from_scalar(1.0)
@@ -207,8 +360,9 @@ class TestIntervals:
         assert pt.standard_part().value == 1
 
     def test_bad_nesting_rejected(self):
-        from rhocalc.errors import RhoCalcError
         one = LCNumber.from_scalar(Fraction(1), "rational")
-        with pytest.raises(RhoCalcError):
+        with pytest.raises(NestingError):
             nested_interval_point([LCInterval(one * 0, one),
                                    LCInterval(one * 2, one * 3)])
+        # callers that catch OrderError still catch it
+        assert issubclass(NestingError, OrderError)

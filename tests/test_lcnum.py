@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rhocalc.errors import BackendError, OrderError
+from rhocalc.errors import BackendError, DimensionError, OrderError
 from rhocalc.series import (DUST_REL, INF, ExtendedScalar, Kind, LCNumber,
                             LCVector, format_lc)
 
@@ -57,6 +57,17 @@ class TestArithmetic:
         a = LCNumber({Fraction(-1): Fraction(1)}, horizon=Fraction(5), backend="rational")
         b = LCNumber({Fraction(2): Fraction(1)}, horizon=Fraction(4), backend="rational")
         assert (a * b).horizon == min(Fraction(5) + 2, Fraction(4) - 1)
+
+    def test_horizon_mul_of_observed_zeros(self):
+        # x known below rho^-5 shows no terms; its square can still hold
+        # rho^-10, so it is known only below rho^-10
+        x = LCNumber({Fraction(-5): Fraction(1), Fraction(0): Fraction(1)},
+                     backend="rational")
+        z = x.truncate(Fraction(-5))
+        assert z.is_zero() and (z * z).horizon == -10
+        assert (z * x).horizon == -10
+        # a product with an exact zero is exactly zero
+        assert (z * LCNumber.zero("rational")).horizon == INF
 
     def test_valuation_rules_fuzz(self):
         rng = random.Random(7)
@@ -148,6 +159,15 @@ class TestVector:
         assert (v + v)[0] == 2 * r
         assert v.scale(r)[1] == r ** 3
 
+    def test_dimension_mismatch_is_typed(self):
+        r = LCNumber.rho(backend="rational")
+        a, b = LCVector([r]), LCVector([r, r])
+        for op in (a.__add__, a.__sub__):
+            with pytest.raises(DimensionError):
+                op(b)
+        # callers that catch OrderError still catch it
+        assert issubclass(DimensionError, OrderError)
+
 
 class TestInfinity:
     def test_huge_exponents_are_real(self):
@@ -181,12 +201,14 @@ def ref_add(x, y):
 
 
 def ref_mul(x, y):
-    v1, v2 = x.valuation(), y.valuation()
+    # a factor with no known terms leads at its horizon at the earliest
+    v1 = x.valuation() if x.terms else x.horizon
+    v2 = y.valuation() if y.terms else y.horizon
     h = INF
     if x.horizon != INF:
-        h = min(h, x.horizon + (v2 if v2 != INF else 0))
+        h = min(h, x.horizon + v2)
     if y.horizon != INF:
-        h = min(h, y.horizon + (v1 if v1 != INF else 0))
+        h = min(h, y.horizon + v1)
     acc, mag = {}, {}
     for q1, c1 in x.terms:
         for q2, c2 in y.terms:
