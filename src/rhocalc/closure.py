@@ -517,9 +517,16 @@ def _newton_refine(poly: LCPolynomial, x0: LCNumber, target: Fraction) -> LCNumb
     Convergence is accepted only on an f(x) evaluated at the full cut
     target + v(f'(x)) (or at the horizon of the coefficients)."""
     dp = poly.derivative()
+
+    def derivative(x, below=INF):
+        dx = dp(x, below=below)
+        if dx.is_zero():
+            raise LiftError("Newton derivative vanished on a presumed simple root")
+        return dx
+
     tol = _POLY_DUST * _poly_scale(poly, x0)
     mu = x0.valuation()
-    x, d = x0, dp(x0).valuation()     # x0 is a monomial: cheap to evaluate
+    x, d = x0, derivative(x0).valuation()    # x0 is a monomial: cheap
     goal = target
     for _ in range(64):
         cut = goal + d
@@ -533,9 +540,7 @@ def _newton_refine(poly: LCPolynomial, x0: LCNumber, target: Fraction) -> LCNumb
         if s >= target:
             return _clean(x, tol).truncate(target)
         nxt = min(2 * s - mu, goal) if s > mu else goal
-        dx = dp(x, below=d + nxt - s)
-        if dx.is_zero():
-            raise LiftError("Newton derivative vanished on a presumed simple root")
+        dx = derivative(x, below=d + nxt - s)
         step = (fx * inverse(dx, horizon=nxt - fx.valuation())).truncate(nxt)
         x = _clean(x - step, tol)
         d = dx.valuation()
