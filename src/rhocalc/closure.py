@@ -542,10 +542,9 @@ def _newton_refine(poly: LCPolynomial, x0: LCNumber, target: Fraction) -> LCNumb
         nxt = min(2 * s - mu, goal) if s > mu else goal
         dx = derivative(x, below=d + nxt - s)
         step = (fx * inverse(dx, horizon=nxt - fx.valuation())).truncate(nxt)
-        x = _clean(x - step, tol)
+        x = _exact(_clean(x - step, tol))
         d = dx.valuation()
-        goal = min(2 * x.horizon - mu, target)
-        x = _exact(x)
+        goal = min(2 * step.horizon - mu, target)
     raise LiftError("Newton refinement did not reach the requested precision")
 
 
