@@ -515,7 +515,9 @@ def _newton_refine(poly: LCPolynomial, x0: LCNumber, target: Fraction) -> LCNumb
     step is computed only below that exponent, and the next f(x) below
     the exponent the step after it can reach; x itself is held exact.
     Convergence is accepted only on an f(x) evaluated at the full cut
-    target + v(f'(x)) (or at the horizon of the coefficients)."""
+    target + v(f'(x)) (or at the horizon of the coefficients).  The root
+    is known only below horizon(f(x)) - v(f'(x)): past that, the unknown
+    tail of the coefficients can move it."""
     dp = poly.derivative()
 
     def derivative(x, below=INF):
@@ -531,14 +533,15 @@ def _newton_refine(poly: LCPolynomial, x0: LCNumber, target: Fraction) -> LCNumb
     for _ in range(64):
         cut = goal + d
         fx = _clean(poly(x, below=cut), tol)
+        known = min(target, fx.horizon - d)
         if fx.is_zero():
             if goal >= target or fx.horizon < cut:
-                return _clean(x, tol).truncate(target)
+                return _clean(x, tol).truncate(known)
             goal = min(2 * goal - mu, target)    # x is exact below goal
             continue
         s = fx.valuation() - d
         if s >= target:
-            return _clean(x, tol).truncate(target)
+            return _clean(x, tol).truncate(known)
         nxt = min(2 * s - mu, goal) if s > mu else goal
         dx = derivative(x, below=d + nxt - s)
         step = (fx * inverse(dx, horizon=nxt - fx.valuation())).truncate(nxt)

@@ -349,6 +349,46 @@ class TestPuiseux:
             assert sum(r.multiplicity for r in roots) == deg
             assert all(_residual_ok(p, r) for r in roots)
 
+    def test_root_horizon_bounded_by_coefficients(self):
+        one = LCNumber.from_scalar(1.0)
+        c = inverse(one + RF)                           # known below rho^10
+        roots = poly_roots(LCPolynomial([-c, one]), precision=16)
+        assert len(roots) == 1
+        x = roots[0].value
+        assert x.horizon <= c.horizon == 10
+        for k in range(int(x.horizon)):
+            assert abs(x.coefficient(Fraction(k)) - (-1) ** k) < 1e-12
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_truncated_coefficients_sound(self, seed):
+        # (x - r1)(x - r2)(x - r3) with exact multi-term roots; every root of
+        # the polynomial with truncated coefficients must agree with a true
+        # root on all the terms it claims to know
+        rng = random.Random(seed)
+        one = LCNumber.from_scalar(1.0)
+        exact = []
+        for lead in (-1.5, 0.5, 2.0):
+            terms = {Fraction(0): complex(lead + rng.uniform(-0.2, 0.2), 0)}
+            for k in range(1, 12):
+                terms[Fraction(k, 2)] = complex(rng.uniform(-1, 1), 0)
+            exact.append(LCNumber(terms, backend="float"))
+        p = [one]
+        for r in exact:                                 # multiply by (x - r)
+            p = [(p[i - 1] if i else one * 0) - (r * p[i] if i < len(p) else one * 0)
+                 for i in range(len(p) + 1)]
+        h = Fraction(rng.choice([3, 4, 5]))
+        poly = LCPolynomial([c.truncate(h) for c in p])
+        roots = poly_roots(poly, precision=12)
+        assert len(roots) == 3
+        for root in roots:
+            x = root.value
+            assert x.horizon <= h
+            true = min(exact, key=lambda r: abs(r.coefficient(Fraction(0))
+                                                - x.coefficient(Fraction(0))))
+            for k in range(int(2 * x.horizon)):
+                q = Fraction(k, 2)
+                assert abs(x.coefficient(q) - true.coefficient(q)) < 1e-9
+
 
 class TestIntervals:
     def test_nested_point(self):
