@@ -436,8 +436,9 @@ def _depollute(poly: LCPolynomial) -> LCPolynomial:
 
 
 def _segment_roots(cs: List[LCNumber], below: Optional[Fraction]):
-    """Newton-polygon data: [(mu, [(lead_coeff, multiplicity), ...])] for
-    the segments whose root valuation mu exceeds ``below`` (all if None)."""
+    """Newton-polygon data: [(mu, i1, [(lead_coeff, multiplicity), ...])]
+    for the segments whose root valuation mu exceeds ``below`` (all if
+    None); i1 is the index of the segment's right end."""
     points = [(i, c.valuation()) for i, c in enumerate(cs) if not c.is_zero()]
     out = []
     for (i0, v0), (i1, v1) in zip(_lower_hull(points), _lower_hull(points)[1:]):
@@ -452,8 +453,18 @@ def _segment_roots(cs: List[LCNumber], below: Optional[Fraction]):
         zs = np.roots(assoc[::-1])
         clusters = [(c0 if m == 1 else _refine_center(assoc, c0, m), m)
                     for c0, m in _cluster(zs)]
-        out.append((mu, clusters))
+        out.append((mu, i1, clusters))
     return out
+
+
+def _zero_horizon(cs: List[LCNumber], k: int, target: Fraction) -> Fraction:
+    """Horizon, capped at ``target``, of the roots that the Newton polygon
+    balances against coefficient k and that are zero below ``target``: a
+    coefficient i < k known only below h_i can hide a term of valuation
+    h_i, which gives such a root the valuation (h_i - v(c_k)) / (k - i)."""
+    v = cs[k].valuation()
+    return min([target] + [(c.horizon - v) / (k - i) for i, c in enumerate(cs[:k])
+                           if c.horizon != INF])
 
 
 def _puiseux(poly: LCPolynomial, target: Fraction, depth: int,
@@ -464,22 +475,22 @@ def _puiseux(poly: LCPolynomial, target: Fraction, depth: int,
         raise LiftError("root lifting failed to separate a cluster")
     cs = list(poly.coeffs)
     roots: List[Tuple[LCNumber, int]] = []
-    # exact roots at the origin: observed-zero low coefficients
+    # roots at the origin: observed-zero low coefficients
     k0 = 0
     while k0 < len(cs) - 1 and cs[k0].is_zero():
         k0 += 1
     if k0:
-        roots.append((LCNumber.zero(backend="float"), k0))
-        cs = cs[k0:]
-    if len(cs) == 1:
+        h = _zero_horizon(cs, k0, target)
+        roots.append((LCNumber.zero(backend="float").truncate(h), k0))
+    if k0 == len(cs) - 1:
         return roots
-    for mu, clusters in _segment_roots(cs, below):
+    for mu, i1, clusters in _segment_roots(cs[k0:], below):
         for c0, mult in clusters:
             lead = LCNumber({mu: c0}, backend="float")
             if mult == 1:
                 roots.append((_newton_refine(poly, lead, target), 1))
             elif mu >= target:
-                roots.append((lead.truncate(target), mult))
+                roots.append((lead.truncate(_zero_horizon(cs, k0 + i1, target)), mult))
             else:
                 shifted = _depollute(poly.shift(lead))
                 for tail, m in _puiseux(shifted, target, depth + 1, below=mu):

@@ -510,7 +510,6 @@ def eval_at(f: AsymptoticFunction, p: AsymptoticPoint,
 class ModerateReport:
     moderate: bool
     witness_n: Optional[int]
-    failure_alpha: Optional[Tuple[int, ...]] = None
     term_sups: Tuple = ()
 
 
@@ -541,7 +540,7 @@ def is_moderate(f: AsymptoticFunction, K: CompactBox,
                 sups.append((q, s1))
     nonzero = [q for q, s in sups if s > 0]
     n = max(0, int(math.ceil(-min(nonzero)))) if nonzero else 0
-    return ModerateReport(True, n, None, tuple(sups))
+    return ModerateReport(True, n, tuple(sups))
 
 
 class NegligibilityMode(Enum):

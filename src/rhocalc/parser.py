@@ -22,7 +22,7 @@ from typing import List, Optional, Tuple, Union
 
 from . import closure
 from .errors import DomainError, ParseError, RhoCalcError
-from .series import Backend, ExtendedScalar, INF, Kind, LCNumber, format_lc
+from .series import Backend, ExtendedScalar, INF, Kind, LCNumber, format_lc, lc_sum
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>\d+(\.\d+)?) |
@@ -236,14 +236,26 @@ def evaluate(node: Expr, env: Env = Env()):
         return LCNumber.rho(backend=b).truncate(env.horizon)
     if isinstance(node, Unary):
         return -as_lc(ev(node.arg), " under unary minus")
+    if isinstance(node, BinOp) and node.op in ("+", "-"):
+        # a left-deep chain a + b - c + ... is summed in one pass, not
+        # folded pairwise (which costs O(n^2) on n growing partial sums)
+        links = []
+        while isinstance(node, BinOp) and node.op in ("+", "-"):
+            links.append(node)
+            node = node.left
+        summands = [(1, as_lc(ev(node)))]
+        for link in reversed(links):
+            summands.append((1 if link.op == "+" else -1, as_lc(ev(link.right))))
+        return lc_sum(summands)
     if isinstance(node, BinOp):
         if node.op == "^":
-            base = as_lc(ev(node.left))
+            # eps^q is the monomial itself: its base is not evaluated
+            base = None if isinstance(node.left, Eps) else as_lc(ev(node.left))
             e = ev(node.right)
             q = _const_rational(e)
             if q is None:
                 raise DomainError("exponents must be rational constants")
-            if isinstance(node.left, Eps):
+            if base is None:
                 c = Fraction(1) if b == "rational" else 1.0
                 return LCNumber({q: c}, horizon=env.horizon, backend=b)
             if q.denominator == 1:
@@ -251,10 +263,6 @@ def evaluate(node: Expr, env: Env = Env()):
             r = closure.nth_root(base, q.denominator)
             return r ** q.numerator
         l, r = as_lc(ev(node.left)), as_lc(ev(node.right))
-        if node.op == "+":
-            return l + r
-        if node.op == "-":
-            return l - r
         if node.op == "*":
             return l * r
         return l / r

@@ -9,6 +9,19 @@ operation propagates the tightest horizon it can soundly certify.
 Two backends are provided: ``'rational'`` (exact Fractions) and
 ``'float'`` (complex floats with a relative dust threshold that sweeps
 away roundoff terms).
+
+Terms are kept as sorted ``(exponent, coefficient)`` tuples of Fractions,
+but arithmetic runs on integers.  Sums (``+``, ``-`` and the n-ary
+:func:`lc_sum`) put the operands' exponents over their common
+denominator L and merge in one pass: a term that meets no other is
+carried through as it is, and a new coefficient is built only where terms
+meet.  Rational products also put each factor's coefficients over their
+common denominator D, accumulate integer products per lattice exponent,
+and build one ``Fraction(k, L)`` and one ``Fraction(n, Da*Db)`` per term
+of the result.  Comparisons (``==``, the order, ``same_monad`` and
+``same_galaxy``) read the leading term of x - y without building it: they
+walk both term tuples to the first exponent below the joint horizon at
+which they differ, so they cost what the common leading run costs.
 """
 
 from __future__ import annotations
@@ -33,23 +46,98 @@ def _as_exp(q) -> Fraction:
     return q if isinstance(q, Fraction) else Fraction(q)
 
 
-# Ring operations run on the exponent lattice (1/L)Z, L the common
-# denominator of both operands' exponents: each exponent q becomes the
-# integer numerator q*L, and a Fraction is rebuilt only for the terms of
-# the result.
+# Ring operations run on the exponent lattice (1/L)Z: each exponent q
+# becomes the integer numerator q*L (see the module docstring).
 
-def _lattice(a, b, h):
-    """(L, top, a', b') for term tuples a and b under horizon h: a' and b'
-    hold the numerators q*L, and top = ceil(h*L) is the least numerator at
-    or beyond the horizon."""
-    L = math.lcm(*(q.denominator for q, _ in a), *(q.denominator for q, _ in b))
-    top = h if h == INF else -(-h.numerator * L // h.denominator)
-    return (L, top, [(q.numerator * (L // q.denominator), c) for q, c in a],
-            [(q.numerator * (L // q.denominator), c) for q, c in b])
+def _lattice_den(term_tuples) -> int:
+    """L: the common denominator of the exponents of the term tuples."""
+    return math.lcm(*(q.denominator for t in term_tuples for q, _ in t))
 
 
-def _off_lattice(items, L: int) -> tuple:
-    return tuple((Fraction(k, L), c) for k, c in sorted(items))
+def _top(h, L: int):
+    """ceil(h*L): the least lattice numerator at or beyond the horizon h."""
+    return h if h == INF else -(-h.numerator * L // h.denominator)
+
+
+def _lead_diff(x: "LCNumber", y: "LCNumber"):
+    """(q, c): the least exponent below the joint horizon at which x - y has
+    a coefficient, and that coefficient; None if there is none.  Walks the
+    two sorted term tuples only up to that exponent; on the float backend
+    a difference tiny relative to what was summed there is dust, as in
+    :func:`lc_sum`."""
+    a, b, h = x.terms, y.terms, min(x.horizon, y.horizon)
+    rational = x.backend is Backend.RATIONAL
+    i = j = 0
+    while True:
+        qa = a[i][0] if i < len(a) else INF
+        qb = b[j][0] if j < len(b) else INF
+        q = min(qa, qb)
+        if q >= h:
+            return None
+        ca = cb = 0
+        if qa == q:
+            ca = a[i][1]
+            i += 1
+        if qb == q:
+            cb = b[j][1]
+            j += 1
+        c = ca - cb
+        if (c != 0) if rational else (abs(c) > DUST_REL * max(abs(ca), abs(cb))):
+            return q, c
+
+
+def lc_sum(summands) -> "LCNumber":
+    """The sum of one or more ``(sign, x)`` pairs, sign +1 or -1, in one
+    pass over one lattice.  Rational results equal the pairwise sum term
+    for term; on the float backend each exponent's sum is swept for dust
+    once, against the largest magnitude summed there."""
+    summands = list(summands)
+    x0 = summands[0][1]
+    for _, x in summands:
+        if x.backend is not x0.backend:
+            raise BackendError(f"mixed backends: {x0.backend.value} vs {x.backend.value}")
+    h = min(x.horizon for _, x in summands)
+    L = _lattice_den(x.terms for _, x in summands)
+    top = _top(h, L)
+    acc: dict = {}
+    if x0.backend is Backend.RATIONAL:
+        met = []
+        for sign, x in summands:
+            for t in x.terms:
+                q, c = t
+                k = q.numerator * (L // q.denominator)
+                if k >= top:
+                    break
+                s = acc.get(k)
+                if s is None:
+                    acc[k] = t if sign > 0 else (q, -c)
+                else:
+                    acc[k] = (s[0], s[1] + c if sign > 0 else s[1] - c)
+                    met.append(k)
+        for k in met:
+            if k in acc and not acc[k][1]:
+                del acc[k]
+        return x0._make(tuple(acc[k] for k in sorted(acc)), h)
+    # float backend: cancellation at an exponent leaves roundoff debris;
+    # a coefficient tiny relative to what was summed there is noise
+    exps: dict = {}
+    mag: dict = {}
+    for sign, x in summands:
+        for q, c in x.terms:
+            k = q.numerator * (L // q.denominator)
+            if k >= top:
+                break
+            if sign < 0:
+                c = 0 - c
+            if k in acc:
+                acc[k] += c
+                mag[k] = max(mag[k], abs(c))
+            else:
+                acc[k] = 0j + c
+                exps[k] = q
+                mag[k] = abs(c)
+    return x0._make(tuple((exps[k], acc[k]) for k in sorted(acc)
+                          if abs(acc[k]) > DUST_REL * mag[k]), h)
 
 
 class Backend(Enum):
@@ -211,24 +299,7 @@ class LCNumber:
         return other
 
     def __add__(self, other) -> "LCNumber":
-        other = self._join(other)
-        h = min(self.horizon, other.horizon)
-        L, top, a, b = _lattice(self.terms, other.terms, h)
-        acc: dict = {}
-        if self.backend is Backend.RATIONAL:
-            for k, c in a + b:
-                if k < top:
-                    acc[k] = acc.get(k, 0) + c
-            return self._make(_off_lattice([t for t in acc.items() if t[1] != 0], L), h)
-        # float backend: cancellation at an exponent leaves roundoff debris;
-        # a coefficient tiny relative to what was summed there is noise
-        mag: dict = {}
-        for k, c in a + b:
-            if k < top:
-                acc[k] = acc.get(k, 0j) + c
-                mag[k] = max(mag.get(k, 0.0), abs(c))
-        return self._make(_off_lattice([(k, c) for k, c in acc.items()
-                                        if abs(c) > DUST_REL * mag[k]], L), h)
+        return lc_sum(((1, self), (1, self._join(other))))
 
     __radd__ = __add__
 
@@ -238,10 +309,10 @@ class LCNumber:
         return self._make(tuple((q, 0 - c) for q, c in self.terms), self.horizon)
 
     def __sub__(self, other) -> "LCNumber":
-        return self + (-self._join(other))
+        return lc_sum(((1, self), (-1, self._join(other))))
 
     def __rsub__(self, other) -> "LCNumber":
-        return (-self) + self._join(other)
+        return lc_sum(((-1, self), (1, self._join(other))))
 
     def __mul__(self, other) -> "LCNumber":
         other = self._join(other)
@@ -258,18 +329,28 @@ class LCNumber:
             h = min(h, other.horizon + v1)
         if self.is_zero() or other.is_zero():
             return self._make((), h)
-        L, top, a, b = _lattice(self.terms, other.terms, h)
+        L = _lattice_den((self.terms, other.terms))
+        top = _top(h, L)
+        a = [(q.numerator * (L // q.denominator), c) for q, c in self.terms]
+        b = [(q.numerator * (L // q.denominator), c) for q, c in other.terms]
         acc: dict = {}
         # both factors are sorted, so the first pair at or past the horizon
         # ends the inner loop
         if self.backend is Backend.RATIONAL:
-            for k1, c1 in a:
-                for k2, c2 in b:
+            # integer numerators over each factor's coefficient denominator
+            Da = math.lcm(*(c.denominator for _, c in a))
+            Db = math.lcm(*(c.denominator for _, c in b))
+            a = [(k, c.numerator * (Da // c.denominator)) for k, c in a]
+            b = [(k, c.numerator * (Db // c.denominator)) for k, c in b]
+            for k1, n1 in a:
+                for k2, n2 in b:
                     k = k1 + k2
                     if k >= top:
                         break
-                    acc[k] = acc.get(k, 0) + c1 * c2
-            return self._make(_off_lattice([t for t in acc.items() if t[1] != 0], L), h)
+                    acc[k] = acc.get(k, 0) + n1 * n2
+            D = Da * Db
+            return self._make(tuple((Fraction(k, L), Fraction(n, D))
+                                    for k, n in sorted(acc.items()) if n), h)
         mag: dict = {}
         for k1, c1 in a:
             for k2, c2 in b:
@@ -279,8 +360,8 @@ class LCNumber:
                 p = c1 * c2
                 acc[k] = acc.get(k, 0) + p
                 mag[k] = max(mag.get(k, 0.0), abs(p))
-        return self._make(_off_lattice([(k, c) for k, c in acc.items()
-                                        if abs(c) > DUST_REL * mag[k]], L), h)
+        return self._make(tuple((Fraction(k, L), c) for k, c in sorted(acc.items())
+                                if abs(c) > DUST_REL * mag[k]), h)
 
     __rmul__ = __mul__
 
@@ -315,8 +396,8 @@ class LCNumber:
             other = LCNumber.from_scalar(other, backend=self.backend)
         if not isinstance(other, LCNumber):
             return NotImplemented
-        d = self - other
-        return not d.terms  # agreement on the joint observable window
+        # agreement on the joint observable window
+        return _lead_diff(self, self._join(other)) is None
 
     # == is agreement on the joint horizon window, which is not transitive,
     # so no hash can respect it
@@ -330,19 +411,27 @@ class LCNumber:
             return Sign.ZERO
         return Sign.POSITIVE if self.terms[0][1] > 0 else Sign.NEGATIVE
 
-    def __lt__(self, other):
+    def _order(self, other) -> Sign:
+        """Sign of self - other, read off its leading term."""
         other = self._join(other)
-        return (self - other).sign() is Sign.NEGATIVE
+        if self.backend is not Backend.RATIONAL:
+            raise BackendError("ordering is defined on the rational backend only")
+        d = _lead_diff(self, other)
+        if d is None:
+            return Sign.ZERO
+        return Sign.POSITIVE if d[1] > 0 else Sign.NEGATIVE
+
+    def __lt__(self, other):
+        return self._order(other) is Sign.NEGATIVE
 
     def __le__(self, other):
-        other = self._join(other)
-        return (self - other).sign() is not Sign.POSITIVE
+        return self._order(other) is not Sign.POSITIVE
 
     def __gt__(self, other):
-        return self._join(other) < self
+        return self._order(other) is Sign.POSITIVE
 
     def __ge__(self, other):
-        return self._join(other) <= self
+        return self._order(other) is not Sign.NEGATIVE
 
     def abs(self) -> "LCNumber":
         """|x| in the ordered (rational) field sense."""
@@ -382,11 +471,13 @@ class LCNumber:
 
     def same_monad(self, other) -> bool:
         """x ~ y iff x - y is infinitesimal (finite-part equivalence)."""
-        return (self - self._join(other)).is_infinitesimal()
+        d = _lead_diff(self, self._join(other))
+        return d is None or d[0] > 0
 
     def same_galaxy(self, other) -> bool:
         """x ~ y iff x - y is finite."""
-        return (self - self._join(other)).is_finite()
+        d = _lead_diff(self, self._join(other))
+        return d is None or d[0] >= 0
 
     # -- presentation -----------------------------------------------------
     def __repr__(self):

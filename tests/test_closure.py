@@ -359,6 +359,30 @@ class TestPuiseux:
         for k in range(int(x.horizon)):
             assert abs(x.coefficient(Fraction(k)) - (-1) ** k) < 1e-12
 
+    def test_zero_root_horizon_bounded_by_coefficients(self):
+        # a0 = -rho^20 known below rho^12 shows no terms, but x^2 - k*rho^12
+        # agrees with it and has the roots +-sqrt(k)*rho^6
+        one, zero = LCNumber.from_scalar(1.0), LCNumber.zero()
+        roots = poly_roots(LCPolynomial([(-RF ** 20).truncate(12), zero, one]),
+                           precision=8)
+        assert [r.multiplicity for r in roots] == [2]
+        assert roots[0].value.is_zero() and roots[0].value.horizon <= 6
+
+    def test_cluster_below_target_horizon_bounded(self):
+        # (x^2 - rho^22)^2: two double roots of valuation 11, past the cut
+        # rho^10; a1 known below rho^12 can hold eps*rho^12, which moves
+        # three roots to valuation (12 - 0) / (4 - 1) = 4
+        one, zero = LCNumber.from_scalar(1.0), LCNumber.zero()
+        p = [RF ** 44, zero.truncate(12), -2 * RF ** 22, zero, one]
+        roots = poly_roots(LCPolynomial(p), precision=8)
+        assert sorted(r.multiplicity for r in roots) == [2, 2]
+        for r in roots:
+            assert r.value.is_zero() and r.value.horizon <= 4
+        # exact coefficients keep the cut
+        p[1] = zero
+        for r in poly_roots(LCPolynomial(p), precision=8):
+            assert r.value.is_zero() and r.value.horizon == 10
+
     @pytest.mark.parametrize("seed", range(6))
     def test_truncated_coefficients_sound(self, seed):
         # (x - r1)(x - r2)(x - r3) with exact multi-term roots; every root of

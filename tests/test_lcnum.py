@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rhocalc.errors import BackendError, DimensionError, OrderError
+from rhocalc import parser
 from rhocalc.series import (DUST_REL, INF, ExtendedScalar, Kind, LCNumber,
-                            LCVector, format_lc)
+                            LCVector, format_lc, lc_sum)
 
 
 def rnum(rng, backend="rational", max_terms=4, horizon=INF):
@@ -233,7 +234,13 @@ def _ref_clean(x, acc, mag):
 EXPS = st.builds(lambda n, big, d: Fraction(n + big, d),
                  st.integers(-30, 30), st.sampled_from((0, 10 ** 13, -10 ** 13)),
                  st.integers(1, 12))
-RAT_COEFFS = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+# small coefficients, so that sums cancel exactly, and numerators near
+# +-10^30 over large coprime denominators, so that the integer numerators
+# of a product run far past machine words
+RAT_COEFFS = st.one_of(
+    st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3)),
+    st.builds(lambda s, n, d: Fraction(s * 10 ** 30 + n, d), st.sampled_from((1, -1)),
+              st.integers(-1000, 1000), st.sampled_from((2, 3, 101, 7919, 104729, 611953, 999983))))
 # few distinct magnitudes, so sums cancel exactly and leave float dust
 FLOAT_COEFFS = st.builds(complex, st.sampled_from((1.0, -1.0, 0.1, -0.3, 1e-14, 2.5)),
                          st.sampled_from((0.0, 0.2, -0.7, 1e-15)))
@@ -252,6 +259,30 @@ def lcnums(draw, backend):
     return LCNumber(terms, horizon=h, backend=backend)
 
 
+@st.composite
+def close_pairs(draw, backend):
+    """Two numbers that share a run of leading terms and then differ, with
+    horizons anywhere, including just above the first differing term."""
+    coeffs = RAT_COEFFS if backend == "rational" else FLOAT_COEFFS
+    common = draw(st.dictionaries(EXPS, coeffs, max_size=5))
+    xt, yt = dict(common), dict(common)
+    for t in (xt, yt):
+        t.update(draw(st.dictionaries(EXPS, coeffs, max_size=2)))
+    if common:
+        # a nudged shared coefficient: on the float backend 1e-15 is dust
+        # next to a unit coefficient, not next to 1e-14
+        q = draw(st.sampled_from(sorted(common)))
+        nudge = (Fraction(1, 10 ** 6) if backend == "rational"
+                 else draw(st.sampled_from((1e-15, 1e-14j, 1e-3))))
+        yt[q] = xt[q] + nudge
+    diff = sorted(q for q in set(xt) | set(yt) if xt.get(q) != yt.get(q)) or [Fraction(0)]
+    above = st.builds(lambda q, m: q + Fraction(1, m), st.sampled_from(diff),
+                      st.sampled_from((2, 10 ** 6)))
+    hs = st.one_of(st.just(INF), EXPS, above)
+    return (LCNumber(xt, horizon=draw(hs), backend=backend),
+            LCNumber(yt, horizon=draw(hs), backend=backend))
+
+
 def same(got, want):
     return got.terms == want[0] and got.horizon == want[1]
 
@@ -264,6 +295,50 @@ class TestKernel:
         assert same(x + y, ref_add(x, y))
         assert same(x * y, ref_mul(x, y))
         assert same(x - y, ref_add(x, -y))
+
+    @settings(deadline=None)
+    @given(st.data(), st.sampled_from(("rational", "float")))
+    def test_fused_sub(self, data, backend):
+        # the fused difference is the sum with the negation, float
+        # coefficients included
+        x, y = data.draw(lcnums(backend)), data.draw(lcnums(backend))
+        for got, want in ((x - y, x + (-y)), (3 - y, (-y) + 3)):
+            assert got.terms == want.terms and got.horizon == want.horizon
+
+    @settings(deadline=None)
+    @given(st.data(), st.sampled_from(("rational", "float")))
+    def test_order_matches_difference(self, data, backend):
+        x, y = data.draw(close_pairs(backend))
+        d = ref_add(x, -y)[0]      # the difference the order used to build
+        lead = d[0] if d else None
+        assert (x == y) is (lead is None)
+        assert x.same_monad(y) is (lead is None or lead[0] > 0)
+        assert x.same_galaxy(y) is (lead is None or lead[0] >= 0)
+        if backend == "rational":
+            neg, pos = lead is not None and lead[1] < 0, lead is not None and lead[1] > 0
+            assert (x < y, x <= y, x > y, x >= y) == (neg, not pos, pos, not neg)
+
+    @settings(deadline=None)
+    @given(st.data(), st.sampled_from(("rational", "float")), st.integers(1, 5))
+    def test_nary_sum_matches_fold(self, data, backend, n):
+        xs = [data.draw(lcnums(backend)) for _ in range(n)]
+        signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+        got = lc_sum(zip(signs, xs))
+        fold = xs[0] if signs[0] > 0 else -xs[0]
+        for s, x in zip(signs[1:], xs[1:]):
+            fold = fold + x if s > 0 else fold - x
+        assert got.horizon == fold.horizon
+        if backend == "rational":
+            assert got.terms == fold.terms
+            return
+        # the fold sweeps dust after every step, the sum once: they agree to
+        # a small multiple of DUST_REL times what was summed at an exponent
+        g, f, scale = dict(got.terms), dict(fold.terms), {}
+        for x in xs:
+            for q, c in x.terms:
+                scale[q] = scale.get(q, 0.0) + abs(c)
+        for q in set(g) | set(f):
+            assert abs(g.get(q, 0) - f.get(q, 0)) <= 1e-12 * scale[q]
 
     @settings(deadline=None)
     @given(lcnums("rational"), lcnums("rational"), lcnums("rational"))
@@ -288,3 +363,62 @@ class TestKernel:
         a, b = X.truncate(h1), Y.truncate(h2)
         for got, exact in ((a + b, X + Y), (a * b, X * Y)):
             assert got.terms == exact.truncate(got.horizon).terms
+
+
+# -- work counts --------------------------------------------------------------
+
+class _CountingTerms(tuple):
+    """A term tuple that counts the terms read from it."""
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountingTerms.reads += 1
+        return tuple.__getitem__(self, i)
+
+    def __iter__(self):
+        for i in range(len(self)):
+            yield self[i]
+
+
+def _count_calls(monkeypatch, names):
+    calls = []
+    for name in names:
+        orig = getattr(LCNumber, name)
+
+        def counting(self, other, orig=orig, name=name):
+            calls.append(name)
+            return orig(self, other)
+        monkeypatch.setattr(LCNumber, name, counting)
+    return calls
+
+
+class TestWorkCounts:
+    def test_parser_sums_in_one_pass(self, monkeypatch):
+        rng = random.Random(3)
+        terms = {Fraction(k, 7): Fraction(rng.randint(-9, 9) or 1, 5)
+                 for k in rng.sample(range(-14, 200), 128)}
+        text = " + ".join(f"({c})*eps^({q})" for q, c in terms.items())
+        text += " - (1/2)*eps^(100)"
+        want = LCNumber(terms, backend="rational") - LCNumber.rho(100, "rational") * Fraction(1, 2)
+        calls = _count_calls(monkeypatch, ("__add__", "__radd__", "__sub__", "__rsub__"))
+        got = parser.evaluate(parser.parse(text))
+        assert calls == []
+        monkeypatch.undo()
+        assert got.terms == want.terms and got.horizon == INF
+
+    def test_comparison_reads_leading_terms_only(self, monkeypatch):
+        rng = random.Random(4)
+        a = LCNumber({Fraction(k, 3): Fraction(rng.randint(1, 9), 2) for k in range(128)},
+                     backend="rational")
+        y = LCNumber({Fraction(k, 7): Fraction(rng.randint(1, 9), 5) for k in range(-1, 6000)},
+                     backend="rational")
+        y.terms, a.terms = _CountingTerms(y.terms), _CountingTerms(a.terms)
+        calls = _count_calls(monkeypatch, ("__add__", "__radd__", "__sub__", "__rsub__"))
+        # y - a leads with y's positive term at rho^(-1/7): each answer reads
+        # a few terms
+        for op, want in ((a.__lt__, True), (y.__lt__, False), (y.__ge__, True),
+                         (y.__eq__, False), (y.same_galaxy, False), (a.same_monad, False)):
+            _CountingTerms.reads = 0
+            assert op(a if op.__self__ is y else y) is want
+            assert _CountingTerms.reads <= 4
+        assert calls == []
