@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rhocalc.errors import BackendError, DimensionError, OrderError
 from rhocalc import parser
+from rhocalc.errors import BackendError, DimensionError, OrderError
 from rhocalc.series import (DUST_REL, INF, ExtendedScalar, Kind, LCNumber,
                             LCVector, format_lc, lc_sum)
 
