@@ -7,11 +7,11 @@ asymptotic generalized functions with a mollifier-based distribution
 embedding, a Fréchet-filter sandbox, and an expression CLI/REPL.
 """
 
-from .errors import (BackendError, CanonicalizationError, ConnectivityError,
-                     DerivativeOrderError, DivisionByZero, DomainError,
-                     GlueError, LiftError, ModeError, MomentSystemError,
-                     OrderError, ParameterError, ParseError, ProviderError,
-                     RhoCalcError, RootError, SpecError)
+from .errors import (BackendError, BudgetError, CanonicalizationError,
+                     ConnectivityError, DerivativeOrderError, DivisionByZero,
+                     DomainError, GlueError, LiftError, ModeError,
+                     MomentSystemError, OrderError, ParameterError, ParseError,
+                     ProviderError, RhoCalcError, RootError, SpecError)
 from .growth import (CHAIN, Cmp, GrowthOrder, Membership, RingFamily,
                      SequenceKind, ThresholdKind, ThresholdSet, chain_position,
                      classify_ring, cmp_growth, format_growth, in_ideal,

@@ -22,8 +22,9 @@ Global options
                     series (the default)
 
 Exit codes: 0 success; 2 parse error, in an expression or an option
-value; 3 domain error, and any other failure of a command, which is
-reported on one line as ``error: <Type>: <message>``.
+value; 3 domain error or work-budget refusal (``error: <message>``), and
+any other failure of a command, which is reported on one line as
+``error: <Type>: <message>``.
 """
 
 from __future__ import annotations

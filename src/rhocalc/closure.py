@@ -309,10 +309,6 @@ class LCPolynomial:
         self.coeffs = tuple(cs)
         self.backend = b
 
-    @classmethod
-    def from_scalars(cls, scalars, backend="float") -> "LCPolynomial":
-        return cls([LCNumber.from_scalar(s, backend=backend) for s in scalars])
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -539,7 +535,11 @@ def _newton_refine(poly: LCPolynomial, x0: LCNumber, target: Fraction) -> LCNumb
 
     tol = _POLY_DUST * _poly_scale(poly, x0)
     mu = x0.valuation()
-    x, d = x0, derivative(x0).valuation()    # x0 is a monomial: cheap
+    dx = derivative(x0)                      # x0 is a monomial: cheap
+    x, d = x0, dx.valuation()
+    # x is cleaned with tol/|f'|: a step below tol moves f(x) by f'*step,
+    # which may still be above tol
+    xtol = tol / max(1.0, abs(dx.leading_coefficient()))
     goal = target
     for _ in range(64):
         cut = goal + d
@@ -547,16 +547,17 @@ def _newton_refine(poly: LCPolynomial, x0: LCNumber, target: Fraction) -> LCNumb
         known = min(target, fx.horizon - d)
         if fx.is_zero():
             if goal >= target or fx.horizon < cut:
-                return _clean(x, tol).truncate(known)
+                return _clean(x, xtol).truncate(known)
             goal = min(2 * goal - mu, target)    # x is exact below goal
             continue
         s = fx.valuation() - d
         if s >= target:
-            return _clean(x, tol).truncate(known)
+            return _clean(x, xtol).truncate(known)
         nxt = min(2 * s - mu, goal) if s > mu else goal
         dx = derivative(x, below=d + nxt - s)
+        xtol = tol / max(1.0, abs(dx.leading_coefficient()))
         step = (fx * inverse(dx, horizon=nxt - fx.valuation())).truncate(nxt)
-        x = _exact(_clean(x - step, tol))
+        x = _exact(_clean(x - step, xtol))
         d = dx.valuation()
         goal = min(2 * step.horizon - mu, target)
     raise LiftError("Newton refinement did not reach the requested precision")

@@ -29,6 +29,10 @@ class RootError(RhoCalcError):
     """Requested root does not exist in the active backend."""
 
 
+class BudgetError(RhoCalcError):
+    """An operation would exceed the work budget (terms or integer digits)."""
+
+
 class LiftError(RhoCalcError):
     """Newton lifting stalled before reaching the target residual valuation."""
 

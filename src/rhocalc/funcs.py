@@ -414,9 +414,6 @@ class AsymptoticFunction:
     def valuation(self) -> Fraction:
         return self.terms[0][0] if self.terms else INF
 
-    def is_structurally_zero(self) -> bool:
-        return not self.terms
-
 
 def fn_add(f: AsymptoticFunction, g: AsymptoticFunction) -> AsymptoticFunction:
     dom = f.domain if f.domain is g.domain else f.domain.intersect(g.domain)

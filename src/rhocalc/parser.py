@@ -15,14 +15,17 @@ Functions: sqrt, root(n, x), st, v, abs, sin, cos, exp, log, classify.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Tuple, Union
 
 from . import closure
-from .errors import DomainError, ParseError, RhoCalcError
-from .series import Backend, ExtendedScalar, INF, Kind, LCNumber, format_lc, lc_sum
+from .errors import (BackendError, DivisionByZero, DomainError, ParseError,
+                     RhoCalcError)
+from .series import (DUST_REL, INF, Backend, ExtendedScalar, Kind, LCNumber,
+                     _as_exp, _coerce_backend, check_budget, format_lc, lc_sum)
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>\d+(\.\d+)?) |
@@ -35,61 +38,50 @@ _TOKEN_RE = re.compile(r"""
 FUNCTIONS = {"sqrt": 1, "root": 2, "st": 1, "v": 1, "abs": 1,
              "sin": 1, "cos": 1, "exp": 1, "log": 1, "classify": 1}
 
+Token = Tuple[str, str, int]    # (kind, text, offset); kind num | name | op | end
 
-@dataclass(frozen=True)
-class Token:
-    kind: str       # num | name | op | end
-    text: str
-    line: int
-    col: int
+
+def _position(text: str, offset: int) -> Tuple[int, int]:
+    """(line, col), both from 1, of a character offset into ``text``."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
 def tokenize(text: str) -> List[Token]:
-    out = []
-    line = 1
-    line_start = 0
-    for m in _TOKEN_RE.finditer(text):
-        col = m.start() - line_start + 1
-        if m.lastgroup == "ws":
-            nl = m.group().count("\n")
-            if nl:
-                line += nl
-                line_start = m.start() + m.group().rindex("\n") + 1
-            continue
-        if m.lastgroup == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", line=line, col=col)
-        out.append(Token(m.lastgroup, m.group(), line, col))
-    out.append(Token("end", "", line, len(text) - line_start + 1))
-    return out
+    """The tokens of ``text``, ending with ``("end", "", len(text))``."""
+    toks = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)
+            if m.lastgroup != "ws"]
+    for kind, tok, at in toks:
+        if kind == "bad":
+            line, col = _position(text, at)
+            raise ParseError(f"unexpected character {tok!r}", line=line, col=col)
+    toks.append(("end", "", len(text)))
+    return toks
 
 
 # -- AST --------------------------------------------------------------------
+# Named tuples: immutable, and cheaper to build than frozen dataclasses.
 
-@dataclass(frozen=True)
-class Num:
-    value: Fraction
+class Num(NamedTuple):
+    value: Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class Eps:
+class Eps(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(NamedTuple):
     op: str
     arg: object
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     name: str
     args: Tuple
     line: int = 0
@@ -97,205 +89,315 @@ class Call:
 
 
 Expr = Union[Num, Eps, Unary, BinOp, Call]
+_EPS = Eps()
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token]):
-        self.toks = tokens
+    """Recursive descent over the token tuples.  An operator token's text
+    is unique to it, so the parser tests texts, not kinds."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.toks = tokenize(text)
         self.i = 0
 
-    def peek(self) -> Token:
-        return self.toks[self.i]
+    def error(self, message: str, tok: Token) -> ParseError:
+        line, col = _position(self.text, tok[2])
+        return ParseError(message, line=line, col=col)
 
-    def next(self) -> Token:
+    def expect(self, text: str) -> None:
         t = self.toks[self.i]
+        if t[1] != text:
+            raise self.error(f"expected {text!r}, found {t[1] or 'end of input'!r}", t)
         self.i += 1
-        return t
-
-    def expect(self, text: str) -> Token:
-        t = self.next()
-        if t.kind == "end" or t.text != text:
-            raise ParseError(f"expected {text!r}, found {t.text or 'end of input'!r}",
-                             line=t.line, col=t.col)
-        return t
 
     def parse(self) -> Expr:
         e = self.expr()
-        t = self.peek()
-        if t.kind != "end":
-            raise ParseError(f"unexpected {t.text!r}", line=t.line, col=t.col)
+        t = self.toks[self.i]
+        if t[0] != "end":
+            raise self.error(f"unexpected {t[1]!r}", t)
         return e
 
     def expr(self) -> Expr:
         e = self.term()
-        while self.peek().text in ("+", "-") and self.peek().kind == "op":
-            op = self.next().text
+        toks = self.toks
+        while toks[self.i][1] in ("+", "-"):
+            op = toks[self.i][1]
+            self.i += 1
             e = BinOp(op, e, self.term())
         return e
 
     def term(self) -> Expr:
         e = self.power()
-        while self.peek().text in ("*", "/"):
-            op = self.next().text
+        toks = self.toks
+        while toks[self.i][1] in ("*", "/"):
+            op = toks[self.i][1]
+            self.i += 1
             e = BinOp(op, e, self.power())
         return e
 
     def power(self) -> Expr:
         base = self.unary()
-        if self.peek().text == "^":
-            self.next()
+        if self.toks[self.i][1] == "^":
+            self.i += 1
             return BinOp("^", base, self.exponent())
         return base
 
     def exponent(self) -> Expr:
-        if self.peek().text == "-":
-            self.next()
+        if self.toks[self.i][1] == "-":
+            self.i += 1
             return Unary("-", self.exponent())
         return self.power()
 
     def unary(self) -> Expr:
-        t = self.peek()
-        if t.text in ("-", "+") and t.kind == "op":
-            self.next()
+        op = self.toks[self.i][1]
+        if op == "-" or op == "+":
+            self.i += 1
             arg = self.unary()
-            return arg if t.text == "+" else Unary("-", arg)
+            return arg if op == "+" else Unary("-", arg)
         return self.primary()
 
     def primary(self) -> Expr:
-        t = self.next()
-        if t.kind == "num":
-            return Num(Fraction(t.text))
-        if t.kind == "name":
-            if t.text in ("eps", "r", "rho"):
-                return Eps()
-            if t.text in FUNCTIONS:
+        t = self.toks[self.i]
+        self.i += 1
+        kind, text = t[0], t[1]
+        if kind == "num":
+            return Num(Fraction(text) if "." in text else int(text))
+        if kind == "name":
+            if text in ("eps", "r", "rho"):
+                return _EPS
+            if text in FUNCTIONS:
                 self.expect("(")
                 args = [self.expr()]
-                while self.peek().text == ",":
-                    self.next()
+                while self.toks[self.i][1] == ",":
+                    self.i += 1
                     args.append(self.expr())
                 self.expect(")")
-                n = FUNCTIONS[t.text]
+                n = FUNCTIONS[text]
+                line, col = _position(self.text, t[2])
                 if len(args) != n:
-                    raise ParseError(f"{t.text} takes {n} argument(s), got {len(args)}",
-                                     line=t.line, col=t.col)
-                return Call(t.text, tuple(args), t.line, t.col)
-            raise ParseError(f"unknown name {t.text!r}", line=t.line, col=t.col)
-        if t.text == "(":
+                    raise ParseError(f"{text} takes {n} argument(s), got {len(args)}",
+                                     line=line, col=col)
+                return Call(text, tuple(args), line, col)
+            raise self.error(f"unknown name {text!r}", t)
+        if text == "(":
             e = self.expr()
             self.expect(")")
             return e
-        raise ParseError(f"unexpected {t.text or 'end of input'!r}",
-                         line=t.line, col=t.col)
+        raise self.error(f"unexpected {text or 'end of input'!r}", t)
 
 
 def parse(text: str) -> Expr:
-    return _Parser(tokenize(text)).parse()
+    return _Parser(text).parse()
 
 
 # -- evaluation ---------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Env:
-    backend: str = "rational"
+    """Evaluation settings.  The backend is coerced to a :class:`Backend`
+    once per Env, and ``zero`` is the empty series whose ``_make`` builds
+    every literal and monomial."""
+
+    backend: Backend = Backend.RATIONAL
     horizon: Fraction = INF
+    zero: LCNumber = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        backend = _coerce_backend(self.backend)
+        horizon = INF if self.horizon == INF else _as_exp(self.horizon)
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "zero", LCNumber((), horizon, backend))
 
 
-def _const_rational(x) -> Optional[Fraction]:
-    """The exact rational value of a constant LCNumber, else None."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, LCNumber):
-        if x.is_zero():
-            return Fraction(0)
-        if len(x.terms) == 1 and x.terms[0][0] == 0:
-            c = x.terms[0][1]
-            if isinstance(c, Fraction):
-                return c
-            if isinstance(c, complex) and c.imag == 0 and float(c.real).is_integer():
-                return Fraction(int(c.real))
-    return None
+_RATIONAL = (int, Fraction)     # the values of folded constant subtrees
+_ZERO = Fraction(0)
+_METHODS = {"st": "standard_part", "v": "valuation", "abs": "abs", "classify": "kind"}
+_LIFTS = {"sqrt": "sqrt", "sin": "lc_sin", "cos": "lc_cos", "exp": "lc_exp",
+          "log": "lc_log"}
+
+
+class _Evaluator:
+    """One evaluation.  A constant subtree (numbers under unary minus,
+    ``+ - * /`` and ``^`` with an integer exponent) evaluates to its exact
+    value, an int or a Fraction; any other subtree to an LCNumber, or to
+    the value of a function call.  A constant becomes a series only where
+    it meets one (:meth:`lit`, :meth:`scale`), with the terms and horizon
+    that the product or sum with the literal ``c + O(rho^H)`` has."""
+
+    def __init__(self, env: Env):
+        self.zero = env.zero
+        self.H = env.horizon
+        self.rational = env.backend is Backend.RATIONAL
+        self.one = Fraction(1) if self.rational else 1 + 0j
+
+    def value(self, node: Expr):
+        v = self.ev(node)
+        return self.lit(v) if type(v) in _RATIONAL and type(node) is not Call else v
+
+    def ev(self, node: Expr):
+        rule = _RULES.get(type(node))
+        if rule is None:
+            raise DomainError(f"cannot evaluate node {node!r}")
+        return rule(self, node)
+
+    # -- constants meeting series -----------------------------------------
+    def coeff(self, c):
+        """The backend coefficient of a constant; on the float backend the
+        float nearest its exact value."""
+        if self.rational:
+            return c if type(c) is Fraction else Fraction(c)
+        try:
+            return complex(c)
+        except OverflowError:
+            raise BackendError("constant too large for the float backend") from None
+
+    def lit(self, c) -> LCNumber:
+        """The constant c as a series: its one term, below the horizon."""
+        cc = self.coeff(c)
+        return self.zero._make(((_ZERO, cc),) if cc and 0 < self.H else (), self.H)
+
+    def monomial(self, q) -> LCNumber:
+        """rho^q below the horizon."""
+        q = _as_exp(q)
+        return self.zero._make(((q, self.one),) if self.H is INF or q < self.H else (),
+                               self.H)
+
+    def scale(self, c, x: LCNumber) -> LCNumber:
+        """lit(c) * x, by one product per term of x: the horizon is the
+        product's min(H + v(x), horizon(x))."""
+        cc = self.coeff(c)
+        if not (cc and x.terms and 0 < self.H):
+            return self.lit(c) * x
+        h = x.horizon if self.H is INF else min(x.horizon, self.H + x.terms[0][0])
+        terms = x.terms if h is INF else tuple(t for t in x.terms if t[0] < h)
+        if self.rational:
+            return x._make(tuple((q, cc * cq) for q, cq in terms), h)
+        # a product's float dust rule, for one product per exponent
+        return x._make(tuple((q, p) for q, p in ((q, cc * cq) for q, cq in terms)
+                             if abs(p) > DUST_REL * abs(p)), h)
+
+    def operand(self, node: Expr, where: str = ""):
+        return _checked(node, self.ev(node), where)
+
+    def series(self, node: Expr, v) -> LCNumber:
+        """v, the value of node, as a series."""
+        v = _checked(node, v)
+        return v if isinstance(v, LCNumber) else self.lit(v)
+
+    # -- rules, one per node type ------------------------------------------
+    def num(self, node: Num):
+        return node.value
+
+    def eps(self, node: Eps) -> LCNumber:
+        return self.monomial(1)
+
+    def unary(self, node: Unary):
+        return -self.operand(node.arg, " under unary minus")
+
+    def binop(self, node: BinOp):
+        op = node.op
+        if op == "+" or op == "-":
+            return self.chain(node)
+        if op == "^":
+            return self.power(node)
+        l, r = self.operand(node.left), self.operand(node.right)
+        lc, rc = type(l) in _RATIONAL, type(r) in _RATIONAL
+        if op == "*":
+            if lc:
+                return l * r if rc else self.scale(l, r)
+            return self.scale(r, l) if rc else l * r
+        if rc:
+            if not r:
+                raise DivisionByZero("division by zero")
+            return Fraction(l, r) if lc else self.scale(Fraction(1, r), l)
+        return self.scale(l, closure.inverse(r)) if lc else l / r
+
+    def chain(self, node: BinOp):
+        """A left-deep chain a + b - c + ... in one pass: its constants
+        are summed exactly, its series with one lc_sum (a pairwise fold
+        costs O(n^2) on n growing partial sums)."""
+        links = []
+        while type(node) is BinOp and (node.op == "+" or node.op == "-"):
+            links.append(node)
+            node = node.left
+        const, seen, summands = 0, False, []
+        for sign, n in [(1, node)] + [(1 if ln.op == "+" else -1, ln.right)
+                                      for ln in reversed(links)]:
+            v = self.operand(n)
+            if isinstance(v, LCNumber):
+                summands.append((sign, v))
+            else:
+                const, seen = (const + v if sign > 0 else const - v), True
+        if not summands:
+            return const
+        # an exact zero adds nothing; below a finite horizon it adds that horizon
+        if const or (seen and self.H is not INF):
+            summands.insert(0, (1, self.lit(const)))
+        return lc_sum(summands)
+
+    def power(self, node: BinOp):
+        # eps^q is the monomial itself: its base is not evaluated
+        base = None if type(node.left) is Eps else self.operand(node.left)
+        q = self.ev(node.right)
+        if type(q) not in _RATIONAL:
+            raise DomainError("exponents must be rational constants")
+        if base is None:
+            return self.monomial(q)
+        if type(base) in _RATIONAL:
+            if q.denominator == 1:
+                return _fold_power(base, int(q))
+            base = self.lit(base)
+        if q.denominator == 1:
+            return base ** int(q)
+        return closure.nth_root(base, q.denominator) ** q.numerator
+
+    def call(self, node: Call):
+        a = self.ev(node.args[0])
+        try:
+            if node.name == "root":
+                if type(a) not in _RATIONAL or a.denominator != 1 or a <= 0:
+                    raise DomainError("root index must be a positive integer")
+                x = node.args[1]
+                return closure.nth_root(self.series(x, self.ev(x)), int(a))
+            x = self.series(node.args[0], a)
+            if node.name in _METHODS:
+                return getattr(x, _METHODS[node.name])()
+            return getattr(closure, _LIFTS[node.name])(x)
+        except RhoCalcError as exc:
+            raise type(exc)(f"{exc} (at line {node.line}, col {node.col})") from exc
+
+
+def _checked(node: Expr, v, where: str = ""):
+    """v, the value of node, if it is a constant or a series: a call's
+    valuation is a rational but no constant, and its kind is neither."""
+    if isinstance(v, LCNumber) or (type(v) in _RATIONAL and type(node) is not Call):
+        return v
+    raise DomainError(f"series value required{where}")
+
+
+_RULES = {Num: _Evaluator.num, Eps: _Evaluator.eps, Unary: _Evaluator.unary,
+          BinOp: _Evaluator.binop, Call: _Evaluator.call}
+
+
+def _fold_power(c, k: int):
+    """c^k for a rational constant, after a digit-budget check."""
+    m = max(abs(c.numerator), c.denominator)
+    check_budget("a constant power", bits=abs(k) * math.log2(m) if m > 1 else 0.0)
+    if k >= 0:
+        return c ** k
+    if not c:
+        raise DivisionByZero("zero to a negative power")
+    return Fraction(c) ** k
 
 
 def evaluate(node: Expr, env: Env = Env()):
-    """Evaluate to LCNumber / ExtendedScalar / Fraction / Kind."""
-    b = env.backend
+    """Evaluate to LCNumber / ExtendedScalar / Fraction / Kind.
 
-    def ev(n):
-        return evaluate(n, env)
-
-    def as_lc(v, where=""):
-        if isinstance(v, LCNumber):
-            return v
-        raise DomainError(f"series value required{where}")
-
-    if isinstance(node, Num):
-        c = node.value if b == "rational" else complex(node.value)
-        return LCNumber({Fraction(0): c}, horizon=env.horizon, backend=b)
-    if isinstance(node, Eps):
-        return LCNumber.rho(backend=b).truncate(env.horizon)
-    if isinstance(node, Unary):
-        return -as_lc(ev(node.arg), " under unary minus")
-    if isinstance(node, BinOp) and node.op in ("+", "-"):
-        # a left-deep chain a + b - c + ... is summed in one pass, not
-        # folded pairwise (which costs O(n^2) on n growing partial sums)
-        links = []
-        while isinstance(node, BinOp) and node.op in ("+", "-"):
-            links.append(node)
-            node = node.left
-        summands = [(1, as_lc(ev(node)))]
-        for link in reversed(links):
-            summands.append((1 if link.op == "+" else -1, as_lc(ev(link.right))))
-        return lc_sum(summands)
-    if isinstance(node, BinOp):
-        if node.op == "^":
-            # eps^q is the monomial itself: its base is not evaluated
-            base = None if isinstance(node.left, Eps) else as_lc(ev(node.left))
-            e = ev(node.right)
-            q = _const_rational(e)
-            if q is None:
-                raise DomainError("exponents must be rational constants")
-            if base is None:
-                c = Fraction(1) if b == "rational" else 1.0
-                return LCNumber({q: c}, horizon=env.horizon, backend=b)
-            if q.denominator == 1:
-                return base ** int(q)
-            r = closure.nth_root(base, q.denominator)
-            return r ** q.numerator
-        l, r = as_lc(ev(node.left)), as_lc(ev(node.right))
-        if node.op == "*":
-            return l * r
-        return l / r
-    if isinstance(node, Call):
-        a = ev(node.args[0])
-        try:
-            if node.name == "sqrt":
-                return closure.sqrt(as_lc(a))
-            if node.name == "root":
-                n = _const_rational(a)
-                if n is None or n.denominator != 1 or n <= 0:
-                    raise DomainError("root index must be a positive integer")
-                return closure.nth_root(as_lc(ev(node.args[1])), int(n))
-            if node.name == "st":
-                return as_lc(a).standard_part()
-            if node.name == "v":
-                val = as_lc(a).valuation()
-                return val
-            if node.name == "abs":
-                return as_lc(a).abs()
-            if node.name == "sin":
-                return closure.lc_sin(as_lc(a))
-            if node.name == "cos":
-                return closure.lc_cos(as_lc(a))
-            if node.name == "exp":
-                return closure.lc_exp(as_lc(a))
-            if node.name == "log":
-                return closure.lc_log(as_lc(a))
-            if node.name == "classify":
-                return as_lc(a).kind()
-        except RhoCalcError as exc:
-            raise type(exc)(f"{exc} (at line {node.line}, col {node.col})") from exc
-    raise DomainError(f"cannot evaluate node {node!r}")
+    Constant subtrees fold to one exact rational before any series is
+    built; only non-constant operands reach ``series`` and ``closure``."""
+    return _Evaluator(env).value(node)
 
 
 def render(value) -> str:

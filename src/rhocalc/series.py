@@ -32,7 +32,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import BackendError, DimensionError, DivisionByZero, OrderError
+from .errors import (BackendError, BudgetError, DimensionError, DivisionByZero,
+                     OrderError)
 
 INF = math.inf         # horizon of an exact series, valuation of zero
 DUST_REL = 1e-13       # float backend: relative magnitude below which a
@@ -57,6 +58,25 @@ def _lattice_den(term_tuples) -> int:
 def _top(h, L: int):
     """ceil(h*L): the least lattice numerator at or beyond the horizon h."""
     return h if h == INF else -(-h.numerator * L // h.denominator)
+
+
+# Work budget: an operation whose estimated work passes either bound is
+# refused before it starts, with a BudgetError.
+MAX_TERM_PAIRS = 1 << 22   # term products a power may multiply out
+MAX_DIGITS = 100_000       # decimal digits of the largest integer it may build
+
+
+def check_budget(what: str, pairs: int = 0, bits: float = 0.0) -> None:
+    """Raise BudgetError if ``what`` is estimated to multiply more than
+    MAX_TERM_PAIRS term pairs or to build integers of more than
+    MAX_DIGITS digits (``bits`` bits)."""
+    if pairs > MAX_TERM_PAIRS:
+        raise BudgetError(f"work budget exceeded: {what} would multiply about "
+                          f"{pairs} term pairs (at most {MAX_TERM_PAIRS})")
+    digits = math.ceil(bits * math.log10(2))
+    if digits > MAX_DIGITS:
+        raise BudgetError(f"work budget exceeded: {what} would build integers of "
+                          f"about {digits} digits (at most {MAX_DIGITS})")
 
 
 def _lead_diff(x: "LCNumber", y: "LCNumber"):
@@ -218,6 +238,10 @@ class LCNumber:
 
     def __init__(self, terms: Union[Mapping, Iterable, None] = None,
                  horizon=INF, backend="float"):
+        """Normalise arbitrary ``(exponent, coefficient)`` pairs: Fraction
+        exponents, backend coefficients, equal exponents summed, zeros and
+        terms at or past the horizon dropped, sorted.  Results of arithmetic
+        are normal already and skip this through :meth:`_make`."""
         backend = _coerce_backend(backend)
         horizon = _as_exp(horizon) if horizon != INF else INF
         items = terms.items() if isinstance(terms, Mapping) else (terms or ())
@@ -227,9 +251,8 @@ class LCNumber:
             c = _check_coeff(c, backend)
             if q < horizon:
                 acc[q] = acc.get(q, 0) + c
-        cleaned = [(q, c) for q, c in acc.items() if c != 0]
-        cleaned.sort(key=lambda t: t[0])
-        self.terms = tuple(cleaned)
+        # exponents are distinct, so the sort never compares coefficients
+        self.terms = tuple(sorted(t for t in acc.items() if t[1]))
         self.horizon = horizon
         self.backend = backend
 
@@ -371,6 +394,7 @@ class LCNumber:
         if n < 0:
             from .closure import inverse
             return inverse(self) ** (-n)
+        check_budget(f"power {n} of a {len(self.terms)}-term series", *self._pow_cost(n))
         out = LCNumber.from_scalar(
             Fraction(1) if self.backend is Backend.RATIONAL else 1.0, backend=self.backend)
         base = self
@@ -381,6 +405,44 @@ class LCNumber:
             if n:
                 base = base * base
         return out
+
+    def _pow_cost(self, k: int) -> Tuple[int, float]:
+        """(term pairs, bits): an upper estimate of the term products that
+        ``self ** k`` multiplies out by squaring, and of the bit size of
+        the largest integer in its coefficients (0 on the float backend)."""
+        n = len(self.terms)
+        if n == 0 or k == 0:
+            return 0, 0.0
+        v, top = self.terms[0][0], self.terms[-1][0]
+        L = _lattice_den((self.terms,))
+        span = int((top - v) * L)
+        # self**j lies on the lattice (1/L)Z in [j*v, j*top], below the
+        # horizon h + (j - 1)*v, and has at most C(n + j - 1, j) terms
+        room = INF if self.horizon == INF else math.ceil((self.horizon - v) * L)
+
+        def terms(j):
+            t = min(j * span + 1, room)
+            return min(t, math.comb(n + j - 1, j)) if min(j, n - 1) <= 64 else t
+
+        pairs, a, b = 0, 0, 1      # out = self**a, base = self**b
+        while k:
+            if k & 1:
+                pairs += (terms(a) if a else 1) * terms(b)
+                a += b
+            k >>= 1
+            if k:
+                pairs += terms(b) ** 2
+                b *= 2
+        if self.backend is not Backend.RATIONAL:
+            return pairs, 0.0
+        # coefficients are N_i / D; one of self**a sums at most n**a
+        # products of a numerators over D**a (fewer below a horizon)
+        D = math.lcm(*(c.denominator for _, c in self.terms))
+        M = max(abs(c.numerator) * (D // c.denominator) for _, c in self.terms)
+        count = a * math.log2(n)
+        if room != INF:
+            count = min(count, room * math.log2(a * n))
+        return pairs, max(a * math.log2(M) + count, a * math.log2(D))
 
     def __truediv__(self, other) -> "LCNumber":
         from .closure import inverse
@@ -450,9 +512,6 @@ class LCNumber:
 
     def is_infinitesimal(self) -> bool:
         return self.kind() in (Kind.ZERO, Kind.INFINITESIMAL)
-
-    def is_finite(self) -> bool:
-        return self.valuation() >= 0
 
     def standard_part(self) -> ExtendedScalar:
         """Coefficient at exponent 0, extended to +/-inf on infinite input."""

@@ -4,7 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+import numpy as np
 
 from rhocalc.errors import (BackendError, DivisionByZero, NestingError,
                             OrderError, RootError)
@@ -412,6 +413,70 @@ class TestPuiseux:
             for k in range(int(2 * x.horizon)):
                 q = Fraction(k, 2)
                 assert abs(x.coefficient(q) - true.coefficient(q)) < 1e-9
+
+
+def _exact(x):
+    """A float series as {q: (re, im)} of Fractions; Fraction(float) is exact."""
+    return {q: (Fraction(c.real), Fraction(c.imag)) for q, c in x.terms}
+
+
+def _exact_residual_ok(poly, x, tol, precision):
+    """Whether poly(x), computed by Horner in exact Gaussian-rational
+    arithmetic, has no coefficient above ``tol`` below ``precision``
+    (x and the coefficients have no negative exponents, so the terms from
+    ``precision`` on are dropped as they arise)."""
+    xs, val = _exact(x), {}
+    for c in reversed(poly.coeffs):
+        nxt = _exact(c)
+        for q1, (a, b) in val.items():
+            for q2, (u, w) in xs.items():
+                if q1 + q2 < precision:
+                    re, im = nxt.get(q1 + q2, (0, 0))
+                    nxt[q1 + q2] = (re + a * u - b * w, im + a * w + b * u)
+        val = {q: z for q, z in nxt.items() if q < precision}
+    big = Fraction(tol) ** 2
+    return all(re * re + im * im <= big for re, im in val.values())
+
+
+MILLI = st.integers(-1000, 1000).map(lambda k: k / 1000)
+
+
+def _branch_radius(parts):
+    """Least |rho| at which the monic polynomial with coefficients a + b*rho
+    has a multiple root: the root series' radius of convergence.  Below 1
+    their coefficients grow like radius^-k, past what a float residual
+    can resolve at rho^24."""
+    P = np.polynomial.Polynomial
+    c = [P([a, b]) for a, b in parts]
+    if len(c) == 2:
+        d = c[1] ** 2 - 4 * c[0]
+    else:
+        r, q, p = c
+        d = p * p * q * q - 4 * q ** 3 - 4 * p ** 3 * r - 27 * r * r + 18 * p * q * r
+    d = d.trim()
+    return min(abs(d.roots())) if d.degree() > 0 else INF
+
+
+class TestNewtonPrecision:
+    # criterion-04 polynomials: monic, each lower coefficient a + b*rho with
+    # complex a in [-2, 2]^2 and b in [-1, 1]^2; standard-part roots apart,
+    # and root series that converge on the unit disc
+    @pytest.mark.parametrize("precision", [16, 24])
+    @settings(deadline=None, max_examples=30)
+    @given(deg=st.sampled_from((2, 3)), data=st.data())
+    def test_roots_reach_the_precision_exactly(self, precision, deg, data):
+        parts = [(complex(2 * data.draw(MILLI), 2 * data.draw(MILLI)),
+                  complex(data.draw(MILLI), data.draw(MILLI))) for _ in range(deg)]
+        zs = np.roots([1] + [a for a, _ in reversed(parts)])
+        assume(min(abs(z1 - z2) for i, z1 in enumerate(zs) for z2 in zs[i + 1:]) > 0.05)
+        assume(_branch_radius(parts) >= 1)
+        p = LCPolynomial([LCNumber({Fraction(0): a, Fraction(1): b}, backend="float")
+                          for a, b in parts] + [LCNumber.from_scalar(1.0)])
+        roots = poly_roots(p, precision=precision)
+        assert sum(r.multiplicity for r in roots) == deg
+        for r in roots:
+            tol = 1e-9 * _poly_scale(p, r.value)
+            assert _exact_residual_ok(p, r.value, tol, precision)
 
 
 class TestIntervals:
