@@ -3,9 +3,9 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-import numpy as np
 
 from rhocalc.errors import (BackendError, DivisionByZero, NestingError,
                             OrderError, RootError)

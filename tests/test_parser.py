@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from rhocalc import closure, parser
+from rhocalc import closure
 from rhocalc.cli import main
-from rhocalc.errors import BudgetError, DivisionByZero, RootError
+from rhocalc.errors import BudgetError, DivisionByZero, DomainError, RootError
 from rhocalc.parser import Env, deserialize, evaluate, parse, serialize
 from rhocalc.series import INF, LCNumber, format_lc
 
@@ -129,6 +129,11 @@ class TestFoldingEdges:
             x = ev(text, horizon=Fraction(5))
             assert x.horizon == want, text
         assert ev("7/3", horizon=Fraction(5)).terms == ((0, Fraction(7, 3)),)
+        # a constant that sums to zero still brings its horizon to the sum
+        assert ev("eps*eps + (1 - 1)", horizon=Fraction(5)).horizon == 5
+        # at a horizon <= 0 a literal shows no terms
+        x = ev("3", horizon=Fraction(-1))
+        assert x.terms == () and x.horizon == -1
 
     def test_float_constant_is_correctly_rounded(self):
         x = ev("2*(1/3) + 1/7", backend="float")
@@ -140,7 +145,7 @@ class TestFoldingEdges:
 
     def test_valuation_is_no_constant_in_arithmetic(self):
         assert ev("eps^(v(eps^2))").terms == ((2, 1),)
-        with pytest.raises(Exception, match="series value required"):
+        with pytest.raises(DomainError, match="series value required"):
             ev("v(eps^2) + 1")
 
 
