@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import ParseError, RhoCalcError
 from .parser import Env, deserialize, evaluate, parse, render
@@ -143,7 +144,10 @@ def _repl(env: Env) -> int:
             print(f"error: {type(exc).__name__}: {exc}")
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and building it costs as much as a small command."""
     ap = argparse.ArgumentParser(prog="asym", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--backend", choices=["rational", "float"], default="rational")
@@ -177,8 +181,11 @@ def main(argv=None) -> int:
     p.add_argument("op", choices=["eq"])
     p.add_argument("a")
     p.add_argument("b")
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except ParseError as exc:

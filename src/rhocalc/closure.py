@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import (BackendError, DivisionByZero, DomainError, LiftError,
                      NestingError, OrderError, RootError)
 from .series import INF, Backend, Kind, LCNumber, _as_exp
@@ -36,8 +34,21 @@ _POLY_DUST = 1e-12
 _MAX_RECENTER = 64
 
 
-def _one(backend: Backend):
-    return Fraction(1) if backend is Backend.RATIONAL else 1.0
+def _one(x: LCNumber) -> LCNumber:
+    """The exact series 1 on x's backend."""
+    one = Fraction(1) if x.backend is Backend.RATIONAL else 1 + 0j
+    return x._make(((Fraction(0), one),), INF)
+
+
+def _times_monomial(x: LCNumber, terms, v, c, horizon) -> LCNumber:
+    """c*rho^v times the sorted ``terms``, below ``horizon``, built through
+    ``_make``: a shift and a nonzero scale keep the terms sorted and below
+    the shifted horizon.  On the float backend a product can underflow to
+    zero, and ``0 + p`` turns a -0.0 part into 0.0, as ``LCNumber()`` does."""
+    if x.backend is Backend.RATIONAL:
+        return x._make(tuple((q + v, p * c) for q, p in terms), horizon)
+    return x._make(tuple(t for t in ((q + v, 0 + p * c) for q, p in terms) if t[1]),
+                   horizon)
 
 
 def _rel_horizon(x: LCNumber, horizon) -> Fraction:
@@ -56,9 +67,8 @@ def _split_unit(x: LCNumber) -> Tuple[Fraction, object, LCNumber]:
     v = x.valuation()
     c = x.leading_coefficient()
     cinv = 1 / c if not isinstance(c, Fraction) else Fraction(1) / c
-    rest = LCNumber([(q - v, cc * cinv) for q, cc in x.terms[1:]],
-                    horizon=(x.horizon - v if x.horizon != INF else INF),
-                    backend=x.backend.value)
+    rest = _times_monomial(x, x.terms[1:], -v, cinv,
+                           x.horizon - v if x.horizon != INF else INF)
     return v, c, rest
 
 
@@ -75,7 +85,7 @@ def _inv_root(u: LCNumber, n: int, H: Fraction) -> LCNumber:
     as an exact series.  Newton step z <- z + z*(1 - (1 + u)*z^n)/n: if z
     is exact below p, the residual (1 + u)*z^n - 1 starts at p and the
     new z is exact below 2p, so each product is cut at 2p."""
-    z = LCNumber.from_scalar(_one(u.backend), backend=u.backend.value)
+    z = _one(u)
     unit = z + u
     p = u.valuation()
     while p < H:
@@ -100,7 +110,7 @@ def _series_in(u: LCNumber, coeffs, H: Fraction) -> LCNumber:
     w = u.valuation()
     if w <= 0:
         raise OrderError("series argument must be infinitesimal")
-    term = LCNumber.from_scalar(_one(u.backend), backend=u.backend.value)
+    term = _one(u)
     k = 0
     while (k + 1) * w < H:
         k += 1
@@ -119,13 +129,12 @@ def inverse(x: LCNumber, horizon=None) -> LCNumber:
     ``horizon`` is asked for."""
     if horizon is None and x.horizon == INF and len(x.terms) == 1:
         (v, c), = x.terms
-        return LCNumber([(-v, 1 / c)], backend=x.backend)
+        return _times_monomial(x, ((Fraction(0), 1),), -v, 1 / c, INF)
     v, c, u = _split_unit(x)
     H = _rel_horizon(x, horizon)
     geom = _inv_root(u, 1, H)
     cinv = Fraction(1) / c if isinstance(c, Fraction) else 1 / c
-    scaled = LCNumber([(q - v, cc * cinv) for q, cc in geom.terms],
-                      horizon=H - v, backend=x.backend.value)
+    scaled = _times_monomial(x, geom.terms, -v, cinv, H - v)
     if x.horizon != INF:
         scaled = scaled.truncate(x.horizon - 2 * v)
     return scaled
@@ -155,12 +164,10 @@ def nth_root(x: LCNumber, n: int, branch: int = 0, horizon=None) -> LCNumber:
     alpha = Fraction(1, n)
     # (1 + u)^(1/n) = (1 + u) * z^(n-1) with z = (1 + u)^(-1/n)
     z = _inv_root(u, n, H)
-    body = (1 + u).truncate(H)
+    body = (u + _one(u)).truncate(H)
     for _ in range(n - 1):
         body = body * z
-    out = LCNumber([(q + v * alpha, cc * croot) for q, cc in body.terms],
-                   horizon=H + v * alpha, backend=x.backend.value)
-    return out
+    return _times_monomial(x, body.terms, v * alpha, croot, H + v * alpha)
 
 
 def sqrt(x: LCNumber, horizon=None) -> LCNumber:
@@ -214,7 +221,7 @@ def _taylor_apply(x: LCNumber, name: str, series, horizon=None) -> LCNumber:
 
 def lc_exp(x: LCNumber, horizon=None) -> LCNumber:
     def series(a):
-        ea = _one(x.backend) if x.backend is Backend.RATIONAL else cmath.exp(complex(a))
+        ea = Fraction(1) if x.backend is Backend.RATIONAL else cmath.exp(complex(a))
         fact = [Fraction(1)]
 
         def coeff(k):
@@ -371,7 +378,8 @@ def _lower_hull(points: List[Tuple[int, Fraction]]) -> List[Tuple[int, Fraction]
     return hull
 
 
-def _cluster(values: np.ndarray) -> List[Tuple[complex, int]]:
+def _cluster(values) -> List[Tuple[complex, int]]:
+    import numpy as np
     if len(values) == 0:
         return []
     scale = max(1.0, float(np.max(np.abs(values))))
@@ -403,9 +411,10 @@ def poly_roots(poly: LCPolynomial, precision=Fraction(8)) -> List[PuiseuxRoot]:
     return out
 
 
-def _refine_center(assoc: np.ndarray, c0: complex, m: int) -> complex:
+def _refine_center(assoc, c0: complex, m: int) -> complex:
     """Sharpen a multiplicity-m cluster center: it is a simple root of the
     (m-1)-th derivative of the associated polynomial."""
+    import numpy as np
     p = np.polynomial.Polynomial(assoc)
     for _ in range(m - 1):
         p = p.deriv()
@@ -435,6 +444,7 @@ def _segment_roots(cs: List[LCNumber], below: Optional[Fraction]):
     """Newton-polygon data: [(mu, i1, [(lead_coeff, multiplicity), ...])]
     for the segments whose root valuation mu exceeds ``below`` (all if
     None); i1 is the index of the segment's right end."""
+    import numpy as np
     points = [(i, c.valuation()) for i, c in enumerate(cs) if not c.is_zero()]
     out = []
     for (i0, v0), (i1, v1) in zip(_lower_hull(points), _lower_hull(points)[1:]):

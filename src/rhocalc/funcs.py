@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import sympy as sp
 
 from .errors import (ConnectivityError, DerivativeOrderError, DomainError,
                      GlueError, ModeError, ProviderError)
@@ -203,11 +202,12 @@ class SmoothProvider:
 
 
 class ExprProvider(SmoothProvider):
-    """Sympy-expression coefficient with cached lambdified derivatives."""
+    """Sympy-expression coefficient with cached lambdified derivatives.
+    sympy is imported here, when the first one is built, not with the
+    module."""
 
     def __init__(self, expr, symbols=None, dim: Optional[int] = None):
-        if isinstance(expr, str):
-            expr = sp.sympify(expr)
+        import sympy as sp
         expr = sp.sympify(expr)
         if symbols is None:
             free = sorted(expr.free_symbols, key=lambda s: s.name)
@@ -220,18 +220,20 @@ class ExprProvider(SmoothProvider):
         if len(self.symbols) < self.dim:
             self.symbols += [sp.Symbol(f"_pad{i}") for i in range(self.dim - len(self.symbols))]
         self._fns: Dict[Tuple[int, ...], Callable] = {}
-        self._dexpr: Dict[Tuple[int, ...], sp.Expr] = {}
+
+    def _diff(self, alpha: Tuple[int, ...]):
+        """The sympy expression of ∂^alpha."""
+        import sympy as sp
+        e = self.expr
+        for s, k in zip(self.symbols, alpha):
+            if k:
+                e = sp.diff(e, s, k)
+        return e
 
     def _fn(self, alpha: Tuple[int, ...]):
         if alpha not in self._fns:
-            e = self._dexpr.get(alpha)
-            if e is None:
-                e = self.expr
-                for s, k in zip(self.symbols, alpha):
-                    if k:
-                        e = sp.diff(e, s, k)
-                self._dexpr[alpha] = e
-            self._fns[alpha] = sp.lambdify(self.symbols, e, modules=["numpy"])
+            import sympy as sp
+            self._fns[alpha] = sp.lambdify(self.symbols, self._diff(alpha), modules=["numpy"])
         return self._fns[alpha]
 
     def evaluate(self, points: np.ndarray, alpha=None) -> np.ndarray:
@@ -244,16 +246,13 @@ class ExprProvider(SmoothProvider):
         return np.broadcast_to(np.asarray(out), (pts.shape[0],)).astype(complex)
 
     def derivative(self, alpha) -> "ExprProvider":
-        a = _alpha_tuple(alpha, self.dim)
-        e = self.expr
-        for s, k in zip(self.symbols, a):
-            if k:
-                e = sp.diff(e, s, k)
-        return ExprProvider(e, symbols=self.symbols, dim=self.dim)
+        return ExprProvider(self._diff(_alpha_tuple(alpha, self.dim)),
+                            symbols=self.symbols, dim=self.dim)
 
 
 class ConstProvider(ExprProvider):
     def __init__(self, value, dim: int = 1):
+        import sympy as sp
         super().__init__(sp.sympify(value), symbols=[sp.Symbol(f"x{i+1}") for i in range(dim)],
                          dim=dim)
 
@@ -765,8 +764,10 @@ def support(f: AsymptoticFunction, resolution: int = 64,
     return cells
 
 
-def _bump_expr(box: OpenBox, symbols) -> sp.Expr:
-    """C^infinity bump positive exactly on the open box, zero outside."""
+def _bump_expr(box: OpenBox, symbols):
+    """C^infinity bump positive exactly on the open box, zero outside, as
+    a sympy expression."""
+    import sympy as sp
     e = sp.Integer(1)
     for s, a, b in zip(symbols, box.lo, box.hi):
         t = (2 * (s - sp.Float(a)) - sp.Float(b - a)) / sp.Float(b - a)  # in (-1,1) on box
@@ -776,6 +777,7 @@ def _bump_expr(box: OpenBox, symbols) -> sp.Expr:
 
 def partition_of_unity(cover: Sequence[OpenBox]) -> List[ExprProvider]:
     """Smooth φ_n ≥ 0 with supp φ_n ⊆ cover[n] and Σ φ_n = 1 on the union."""
+    import sympy as sp
     dim = cover[0].dim
     symbols = [sp.Symbol(f"x{i+1}") for i in range(dim)]
     bumps = [_bump_expr(b, symbols) for b in cover]

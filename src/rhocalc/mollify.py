@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import sympy as sp
 
 from .errors import (DomainError, MomentSystemError, ParameterError,
                      ProviderError, SpecError)
@@ -39,34 +38,55 @@ _SING_COND = 1e12
 # ---------------------------------------------------------------------------
 
 class _Bump1D:
-    """Cached derivatives of the standard bump on (-1, 1)."""
+    """The standard bump and its derivatives on (-1, 1), zero outside.
 
-    _t = sp.Symbol("t")
-    _expr = sp.exp(1 / (_t ** 2 - 1))
-    _fns: dict = {}
+    With g = (1 - t^2)^2, psi' = -2t*psi/g, so g*psi' = -2t*psi.  Its k-th
+    derivative by the Leibniz rule gives the pointwise recurrence
 
-    @classmethod
-    def _fn(cls, order: int):
-        if order not in cls._fns:
-            cls._fns[order] = sp.lambdify(
-                cls._t, sp.diff(cls._expr, cls._t, order), modules=["numpy"])
-        return cls._fns[order]
+        psi^(k+1) = -[2t*psi^(k) + 2k*psi^(k-1)
+                      + sum_{j=1..min(k,4)} C(k,j)*g^(j)*psi^(k+1-j)] / g
+
+    where g^(1) = -4t(1 - t^2), g^(2) = 12t^2 - 4, g^(3) = 24t and
+    g^(4) = 24.  It runs the same on a float and on an array."""
+
+    # g^(j)(t) for j = 0..4, from t and s = 1 - t^2
+    _G = (lambda t, s: s * s, lambda t, s: -4 * t * s, lambda t, s: 12 * t * t - 4,
+          lambda t, s: 24 * t, lambda t, s: 24)
+
+    @staticmethod
+    def _orders(t, order: int, exp) -> list:
+        """[psi, psi', ..., psi^(order)] at t inside (-1, 1), with ``exp``
+        the exponential of t's kind (``math.exp`` or ``np.exp``)."""
+        s = (1 - t) * (1 + t)
+        out = [exp(-1 / s)]
+        g = []      # g^(j) is first needed at step k = j
+        for k in range(order):
+            if k <= 4:
+                g.append(_Bump1D._G[k](t, s))
+            acc = 2 * t * out[k]
+            if k:
+                acc = acc + 2 * k * out[k - 1]
+            for j in range(1, min(k, 4) + 1):
+                acc = acc + math.comb(k, j) * g[j] * out[k + 1 - j]
+            out.append(-acc / g[0])
+        return out
 
     @classmethod
     def eval(cls, t: np.ndarray, order: int = 0) -> np.ndarray:
-        fn = cls._fn(order)
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         inside = np.abs(t) < 1.0 - 1e-12
         if np.any(inside):
             with np.errstate(all="ignore"):
-                out[inside] = fn(t[inside])
+                out[inside] = cls._orders(t[inside], order, np.exp)[order]
         return out
 
     @classmethod
     def at(cls, t: float, order: int = 0) -> float:
         """``eval`` on one Python float."""
-        return float(cls._fn(order)(t)) if abs(t) < 1.0 - 1e-12 else 0.0
+        if not abs(t) < 1.0 - 1e-12:
+            return 0.0
+        return float(cls._orders(t, order, math.exp)[order])
 
 
 def _bump_nd(points: np.ndarray, center: Sequence[float], width: float,

@@ -7,9 +7,12 @@ Grammar (standard precedence, right-associative ``^``)::
     power   := unary ('^' exponent)?          # right-associative
     exponent:= ('-')? power | '(' expr ')'
     unary   := ('-' | '+') unary | primary
-    primary := NUMBER | 'eps' | 'r' | NAME '(' expr (',' expr)* ')' | '(' expr ')'
+    primary := NUMBER | IMAG | 'eps' | 'r' | NAME '(' expr (',' expr)* ')' | '(' expr ')'
 
-``eps`` and ``r`` both denote the distinguished infinitesimal rho.
+A NUMBER such as ``12``, ``0.5`` or ``2.5e-07`` denotes its exact
+rational value; an IMAG is a NUMBER followed by ``j`` and exists only on
+the float backend, so that every coefficient that ``format_lc`` prints
+reads back.  ``eps`` and ``r`` both denote the distinguished infinitesimal rho.
 Functions: sqrt, root(n, x), st, v, abs, sin, cos, exp, log, classify.
 """
 
@@ -28,7 +31,7 @@ from .series import (DUST_REL, INF, Backend, ExtendedScalar, Kind, LCNumber,
                      _as_exp, _coerce_backend, check_budget, format_lc, lc_sum)
 
 _TOKEN_RE = re.compile(r"""
-    (?P<num>\d+(\.\d+)?) |
+    (?P<num>\d+(\.\d+)?([eE][-+]?\d+)?j?) |
     (?P<name>[A-Za-z_][A-Za-z_0-9]*) |
     (?P<op>[-+*/^(),]) |
     (?P<ws>\s+) |
@@ -66,6 +69,13 @@ class Num(NamedTuple):
     value: Union[int, Fraction]
 
 
+class Imag(NamedTuple):
+    value: Union[int, Fraction]     # the literal is value*1j
+    text: str
+    line: int = 0
+    col: int = 0
+
+
 class Eps(NamedTuple):
     pass
 
@@ -88,7 +98,7 @@ class Call(NamedTuple):
     col: int = 0
 
 
-Expr = Union[Num, Eps, Unary, BinOp, Call]
+Expr = Union[Num, Imag, Eps, Unary, BinOp, Call]
 _EPS = Eps()
 
 
@@ -162,7 +172,10 @@ class _Parser:
         self.i += 1
         kind, text = t[0], t[1]
         if kind == "num":
-            return Num(Fraction(text) if "." in text else int(text))
+            if text[-1] != "j":
+                return Num(_number(text))
+            line, col = _position(self.text, t[2])
+            return Imag(_number(text[:-1]), text, line, col)
         if kind == "name":
             if text in ("eps", "r", "rho"):
                 return _EPS
@@ -185,6 +198,16 @@ class _Parser:
             self.expect(")")
             return e
         raise self.error(f"unexpected {text or 'end of input'!r}", t)
+
+
+def _number(text: str) -> Union[int, Fraction]:
+    """The exact value of an unsigned number literal: an int, or a
+    Fraction if it has a point or an exponent (``1e-05`` is 1/100000)."""
+    if "e" in text or "E" in text:
+        exp = int(text.lower().partition("e")[2])
+        check_budget("a number literal", bits=abs(exp) * math.log2(10))
+        return Fraction(text)
+    return Fraction(text) if "." in text else int(text)
 
 
 def parse(text: str) -> Expr:
@@ -243,13 +266,14 @@ class _Evaluator:
         return rule(self, node)
 
     # -- constants meeting series -----------------------------------------
-    def coeff(self, c):
-        """The backend coefficient of a constant; on the float backend the
-        float nearest its exact value."""
+    def coeff(self, c, imag: bool = False):
+        """The backend coefficient of a constant, or of the imaginary
+        constant c*1j; on the float backend the float nearest its exact
+        value."""
         if self.rational:
             return c if type(c) is Fraction else Fraction(c)
         try:
-            return complex(c)
+            return complex(0.0, c) if imag else complex(c)
         except OverflowError:
             raise BackendError("constant too large for the float backend") from None
 
@@ -289,6 +313,12 @@ class _Evaluator:
     # -- rules, one per node type ------------------------------------------
     def num(self, node: Num):
         return node.value
+
+    def imag(self, node: Imag) -> LCNumber:
+        if self.rational:
+            raise BackendError(f"the imaginary literal {node.text!r} needs the float "
+                               f"backend (at line {node.line}, col {node.col})")
+        return self.lit(self.coeff(node.value, imag=True))
 
     def eps(self, node: Eps) -> LCNumber:
         return self.monomial(1)
@@ -377,8 +407,8 @@ def _checked(node: Expr, v, where: str = ""):
     raise DomainError(f"series value required{where}")
 
 
-_RULES = {Num: _Evaluator.num, Eps: _Evaluator.eps, Unary: _Evaluator.unary,
-          BinOp: _Evaluator.binop, Call: _Evaluator.call}
+_RULES = {Num: _Evaluator.num, Imag: _Evaluator.imag, Eps: _Evaluator.eps,
+          Unary: _Evaluator.unary, BinOp: _Evaluator.binop, Call: _Evaluator.call}
 
 
 def _fold_power(c, k: int):

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import rhocalc
+from rhocalc import cli
 from rhocalc.cli import main
 from rhocalc.errors import ParseError
 from rhocalc.parser import (Env, deserialize, evaluate, parse, render,
@@ -125,12 +127,77 @@ class TestCli:
         assert code == 0 and out.startswith("2.718281828")
 
 
-def test_import_loads_no_scipy():
+def _python(*args, **kw):
+    """A fresh interpreter that imports rhocalc from this source tree."""
     src = str(Path(rhocalc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, rhocalc; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, **kw)
+
+
+_RUN_MAIN = """import runpy
+sys.argv = ["asym", "eval", "st((sqrt(1+eps)-1)/eps)"]
+try:
+    runpy.run_module("rhocalc", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code"""
+
+_HEAVY = {"numpy", "sympy", "scipy"}
+
+# entry point, the heavy packages it must not load, the rhocalc modules it
+# must load exactly (None: any), and the packages it must load
+_IMPORTS = [
+    ("import rhocalc", _HEAVY, {"rhocalc"}, set()),
+    ("import rhocalc.series", _HEAVY, {"rhocalc", "rhocalc.errors", "rhocalc.series"}, set()),
+    (_RUN_MAIN, _HEAVY, None, set()),
+    ("import rhocalc.mollify", {"sympy"}, None, {"numpy"}),
+    ("from rhocalc.funcs import ExprProvider\nExprProvider('x')", set(), None, {"sympy"}),
+]
+
+
+def test_entry_points_load_only_what_they_run():
+    for code, absent, ours, present in _IMPORTS:
+        out = _python("-c", f"import json, sys\n{code}\nprint(json.dumps(sorted(sys.modules)))",
+                      check=True)
+        modules = json.loads(out.stdout.splitlines()[-1])
+        tops = {m.split(".")[0] for m in modules}
+        assert not absent & tops, (code, absent & tops)
+        assert present <= tops, (code, present - tops)
+        if ours is not None:
+            assert {m for m in modules if m.split(".")[0] == "rhocalc"} == ours, code
+
+
+class TestCachedParser:
+    CASES = [["eval", "st((sqrt(1+eps)-1)/eps)"],   # success
+             ["eval", "st("],                      # expression parse error
+             ["--backend", "nope", "eval", "1"],   # option parse error
+             ["--help"]]
+
+    def test_repeated_calls_match_fresh_processes(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        for argv in self.CASES:
+            fresh = _python("-m", "rhocalc", *argv)
+            for _ in range(2):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+                cap = capsys.readouterr()
+                assert (code, cap.out, cap.err) == (fresh.returncode, fresh.stdout,
+                                                    fresh.stderr), argv
+        assert cli._parser.cache_info().currsize == 1
+
+
+class TestFloatText:
+    @pytest.mark.parametrize("coeffs", [["1+eps", "2.5", "1"],
+                                        ["1+eps", "0.001*eps", "1"],
+                                        ["1e-05+eps", "0", "1"]])
+    def test_roots_output_evaluates_again(self, capsys, coeffs):
+        assert main(["--backend", "float", "roots", "--", *coeffs]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == 2
+        for row in rows:
+            text = row.split("  ")[0].removeprefix("root=")
+            assert main(["--backend", "float", "eval", text]) == 0
+            assert capsys.readouterr().out.strip() == text

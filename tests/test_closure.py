@@ -13,7 +13,7 @@ from rhocalc.closure import (LCInterval, LCPolynomial, effective_valuation,
                              inverse, lc_cos, lc_exp, lc_log, lc_sin,
                              nested_interval_point, nth_root, poly_roots,
                              _poly_scale, _rational_nth_root, _rel_horizon,
-                             _split_unit, sqrt)
+                             _split_unit, _times_monomial, sqrt)
 from rhocalc.series import INF, Backend, LCNumber
 
 
@@ -209,6 +209,32 @@ class TestNewtonClosure:
         branch = data.draw(st.integers(0, n - 1))
         _agree(nth_root(x, n, branch=branch, horizon=h),
                _ref_nth_root(x, n, branch=branch, horizon=h))
+
+    def test_monomial_shift_matches_the_constructor(self):
+        # the shifted and scaled terms equal, bit for bit, what the
+        # normalising LCNumber() builds from them: a -0.0 part becomes 0.0,
+        # and a float product that underflows to zero is dropped
+        rng = random.Random(14)
+        cases = [(LCNumber({0: -1.0, 1: 2.0, 2: 1e-200}, horizon=3, backend="float"),
+                  Fraction(-1, 2), 1j * 1e-200, Fraction(5, 2))]
+        for _ in range(100):
+            backend = rng.choice(("rational", "float"))
+            if backend == "rational":
+                coeff = lambda: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+            else:
+                coeff = lambda: complex(rng.choice((0.0, -0.0, rng.uniform(-2, 2))),
+                                        rng.choice((0.0, -0.0, rng.uniform(-2, 2)))) or 1.0
+            terms = {Fraction(rng.randint(-20, 20), rng.randint(1, 4)): coeff()
+                     for _ in range(rng.randint(0, 6))}
+            v = Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+            cases.append((LCNumber(terms, horizon=Fraction(21), backend=backend), v,
+                          coeff(), 21 + v))
+        for x, v, c, h in cases:
+            got = _times_monomial(x, x.terms, v, c, h)
+            want = LCNumber([(q + v, p * c) for q, p in x.terms], horizon=h,
+                            backend=x.backend)
+            assert repr(got.terms) == repr(want.terms) and got.horizon == want.horizon
+            assert got.backend is want.backend
 
     def test_inverse_product_count(self, monkeypatch):
         # u of valuation 1/8, relative depth 32: 256 lattice steps.  The

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -10,11 +11,42 @@ from rhocalc.funcs import (AsymptoticPoint, Domain, ExprProvider, eval_at,
                            fn_mul, pair)
 from rhocalc.mollify import (DeltaAt, DerivativeOfDelta, FiniteCombination,
                              Heaviside, LocallyIntegrableKernel, RateResult,
-                             build_mollifier, convergence_rate, cutoff,
+                             _Bump1D, build_mollifier, convergence_rate, cutoff,
                              embed_distribution, reference_bump,
                              reference_pairing, rho_delta)
 
 DOM = Domain.interval(-3.0, 3.0)
+
+
+class TestBump:
+    POINTS = [float(t) for t in np.linspace(-0.99, 0.99, 41)] + [0.999, -0.999]
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        """psi^(k) at POINTS for k = 0..10, from mpmath at 50 digits."""
+        with mpmath.workdps(50):
+            psi = lambda t: mpmath.exp(1 / (t * t - 1))
+            return [[float(mpmath.diff(psi, mpmath.mpf(t), k)) for t in self.POINTS]
+                    for k in range(11)]
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_derivatives_match_mpmath(self, reference, k):
+        want = np.array(reference[k])
+        got = _Bump1D.eval(np.array(self.POINTS), k)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_scalar_path_matches_vector_path(self, k):
+        vec = _Bump1D.eval(np.array(self.POINTS), k)
+        scalar = np.array([_Bump1D.at(t, k) for t in self.POINTS])
+        # np.exp and math.exp may differ in the last bit of psi
+        assert np.max(np.abs(scalar - vec)) <= 1e-15 * np.max(np.abs(vec))
+
+    def test_zero_outside_the_open_interval(self):
+        ts = np.array([-1.5, -1.0, 1.0, 2.0])
+        for k in range(4):
+            assert not np.any(_Bump1D.eval(ts, k))
+            assert all(_Bump1D.at(float(t), k) == 0.0 for t in ts)
 
 
 class TestMollifiers:

@@ -10,13 +10,21 @@ from hypothesis import assume, given, settings, strategies as st
 
 from rhocalc import closure
 from rhocalc.cli import main
-from rhocalc.errors import BudgetError, DivisionByZero, DomainError, RootError
+from rhocalc.errors import (BackendError, BudgetError, DivisionByZero, DomainError,
+                            RootError)
 from rhocalc.parser import Env, deserialize, evaluate, parse, serialize
 from rhocalc.series import INF, LCNumber, format_lc
 
 
 def ev(text, **env):
     return evaluate(parse(text), Env(**env))
+
+
+# float coefficient parts: zero, or of either sign with magnitude 1e-300..1e300
+_float_parts = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, e, s: s * m * 10.0 ** e, st.floats(1.0, 9.999999),
+              st.integers(-300, 299), st.sampled_from((1.0, -1.0))))
 
 
 # -- random expression trees and their reference values -----------------------
@@ -188,10 +196,56 @@ class TestRoundTrip:
                      for _ in range(rng.randint(0, 20))}
             x = LCNumber(terms, backend="float")
             text = serialize(x)
-            if "e" in text:     # the grammar has no exponent notation
-                continue
             y = deserialize(text, backend="float")
             assert y.terms == x.terms and format_lc(y) == text
+
+    @pytest.mark.parametrize("terms", [{0: 1e-05, 1: 2.5}, {0: 1e20}, {1: 0.5 + 1.5j}])
+    def test_exponent_and_complex_text_reads_back(self, terms):
+        x = LCNumber(terms, backend="float")
+        y = deserialize(serialize(x), backend="float")
+        assert y.terms == x.terms and y == x
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(
+        st.builds(Fraction, st.integers(-20, 40), st.integers(1, 6)),
+        st.builds(complex, _float_parts, _float_parts),
+        max_size=8))
+    def test_float_round_trip_property(self, terms):
+        x = LCNumber(terms, backend="float")
+        y = deserialize(serialize(x), backend="float")
+        assert y.terms == x.terms and y == x
+
+
+class TestNumberLiterals:
+    def test_exponent_notation_is_exact_on_the_rational_backend(self):
+        assert ev("1e-05").terms == ((0, Fraction(1, 100000)),)
+        assert ev("2.5E+20*eps").terms == ((1, Fraction(25 * 10 ** 19)),)
+        assert ev("eps^1e1").terms == ((10, 1),)
+
+    def test_exponent_notation_on_the_float_backend(self):
+        assert ev("1e-05 + 2.5E+20*eps", backend="float").terms == \
+            ((0, 1e-05 + 0j), (1, 2.5e20 + 0j))
+
+    def test_imaginary_literal_is_float_only(self):
+        assert ev("(0.5-1.5j)*eps", backend="float").terms == ((1, 0.5 - 1.5j),)
+        assert ev("2e-3j", backend="float").terms == ((0, 0.002j),)
+        with pytest.raises(BackendError, match="float backend"):
+            ev("1.5j")
+
+    def test_literal_exponent_is_budgeted(self):
+        with pytest.raises(BudgetError):
+            parse("1e1000000")
+        with pytest.raises(BackendError):
+            ev("1e400", backend="float")
+
+    def test_cli_exit_codes(self, capsys):
+        assert main(["eval", "1e-05"]) == 0
+        assert capsys.readouterr().out.strip() == "(1/100000)"
+        assert main(["eval", "1.5j"]) == 3
+        assert "float backend" in capsys.readouterr().err
+        assert main(["--backend", "float", "eval", "1.5j"]) == 0
+        assert capsys.readouterr().out.strip() == "(0.0+1.5j)"
+        assert main(["eval", "2eps"]) == 2
 
 
 class TestBudget:
