@@ -66,8 +66,7 @@ def _split_unit(x: LCNumber) -> Tuple[Fraction, object, LCNumber]:
         raise DivisionByZero("zero has no leading monomial")
     v = x.valuation()
     c = x.leading_coefficient()
-    cinv = 1 / c if not isinstance(c, Fraction) else Fraction(1) / c
-    rest = _times_monomial(x, x.terms[1:], -v, cinv,
+    rest = _times_monomial(x, x.terms[1:], -v, 1 / c,
                            x.horizon - v if x.horizon != INF else INF)
     return v, c, rest
 
@@ -133,8 +132,7 @@ def inverse(x: LCNumber, horizon=None) -> LCNumber:
     v, c, u = _split_unit(x)
     H = _rel_horizon(x, horizon)
     geom = _inv_root(u, 1, H)
-    cinv = Fraction(1) / c if isinstance(c, Fraction) else 1 / c
-    scaled = _times_monomial(x, geom.terms, -v, cinv, H - v)
+    scaled = _times_monomial(x, geom.terms, -v, 1 / c, H - v)
     if x.horizon != INF:
         scaled = scaled.truncate(x.horizon - 2 * v)
     return scaled
@@ -199,72 +197,37 @@ def _rational_nth_root(c: Fraction, n: int) -> Optional[Fraction]:
 # Transcendental lifts
 # ---------------------------------------------------------------------------
 
-def _finite_split(x: LCNumber, name: str):
+def _taylor_apply(x: LCNumber, name: str, at_zero, cycle, horizon=None) -> LCNumber:
+    """f(x) by the Taylor series of f around the standard part a of x.
+    The derivatives f(a), f'(a), ... repeat with period len(d), where d is
+    ``at_zero`` (exact, a = 0) on the rational backend and ``cycle(a)`` on
+    the float backend; coefficient k is d[k % len(d)] / k!."""
     if x.kind() is Kind.INFINITE:
         raise DomainError(f"{name} of an infinite element leaves the field")
-    a = x.coefficient(0) if x.kind() is Kind.FINITE else (
-        Fraction(0) if x.backend is Backend.RATIONAL else 0j)
-    e = x - LCNumber.from_scalar(a, backend=x.backend.value)
-    return a, e
-
-
-def _taylor_apply(x: LCNumber, name: str, series, horizon=None) -> LCNumber:
-    a, e = _finite_split(x, name)
-    if x.backend is Backend.RATIONAL and a != 0:
+    rational = x.backend is Backend.RATIONAL
+    a = x.coefficient(0) if x.kind() is Kind.FINITE else (Fraction(0) if rational else 0j)
+    if rational and a != 0:
         raise BackendError(
             f"{name} at nonzero standard part {a} is irrational; use the float backend")
+    d = [Fraction(c) for c in at_zero] if rational else cycle(complex(a))
     H = x.horizon if x.horizon != INF else (
         _as_exp(horizon) if horizon is not None else DEFAULT_DEPTH)
-    return _series_in(e.truncate(H), series(a), H) if not e.is_zero() else \
-        LCNumber.from_scalar(series(a)(0), backend=x.backend.value).truncate(H)
+    e = x - LCNumber.from_scalar(a, backend=x.backend.value)
+    return _series_in(e.truncate(H), lambda k: d[k % len(d)] / math.factorial(k), H)
 
 
 def lc_exp(x: LCNumber, horizon=None) -> LCNumber:
-    def series(a):
-        ea = Fraction(1) if x.backend is Backend.RATIONAL else cmath.exp(complex(a))
-        fact = [Fraction(1)]
-
-        def coeff(k):
-            while len(fact) <= k:
-                fact.append(fact[-1] / len(fact))
-            c = fact[k]
-            return ea * c if x.backend is Backend.RATIONAL else ea * complex(c)
-        return coeff
-    return _taylor_apply(x, "exp", series, horizon)
+    return _taylor_apply(x, "exp", (1,), lambda a: (cmath.exp(a),), horizon)
 
 
 def lc_sin(x: LCNumber, horizon=None) -> LCNumber:
-    def series(a):
-        if x.backend is Backend.RATIONAL:
-            def coeff(k):
-                if k % 2 == 0:
-                    return Fraction(0)
-                return Fraction((-1) ** (k // 2), math.factorial(k))
-            return coeff
-        sa, ca = cmath.sin(complex(a)), cmath.cos(complex(a))
-
-        def coeff(k):
-            d = (sa, ca, -sa, -ca)[k % 4]
-            return d / math.factorial(k)
-        return coeff
-    return _taylor_apply(x, "sin", series, horizon)
+    return _taylor_apply(x, "sin", (0, 1, 0, -1), lambda a: (
+        cmath.sin(a), cmath.cos(a), -cmath.sin(a), -cmath.cos(a)), horizon)
 
 
 def lc_cos(x: LCNumber, horizon=None) -> LCNumber:
-    def series(a):
-        if x.backend is Backend.RATIONAL:
-            def coeff(k):
-                if k % 2 == 1:
-                    return Fraction(0)
-                return Fraction((-1) ** (k // 2), math.factorial(k))
-            return coeff
-        sa, ca = cmath.sin(complex(a)), cmath.cos(complex(a))
-
-        def coeff(k):
-            d = (ca, -sa, -ca, sa)[k % 4]
-            return d / math.factorial(k)
-        return coeff
-    return _taylor_apply(x, "cos", series, horizon)
+    return _taylor_apply(x, "cos", (1, 0, -1, 0), lambda a: (
+        cmath.cos(a), -cmath.sin(a), -cmath.cos(a), cmath.sin(a)), horizon)
 
 
 def lc_log(x: LCNumber, horizon=None) -> LCNumber:
@@ -346,10 +309,8 @@ class LCPolynomial:
         for j in range(1, d + 1):
             p = p.derivative()
             fact *= j
-            inv = Fraction(1, fact)
             val = p(a)
-            out.append(LCNumber([(q, c * inv if isinstance(c, Fraction) else c / fact)
-                                 for q, c in val.terms],
+            out.append(LCNumber([(q, c / fact) for q, c in val.terms],
                                 horizon=val.horizon, backend=self.backend.value))
         return LCPolynomial(out)
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +35,20 @@ GROWTH_RATIO = 8.0        # grid-sup inflation under one refinement step
 # ---------------------------------------------------------------------------
 # Geometry: open boxes and their finite unions
 # ---------------------------------------------------------------------------
+
+def _as_points(points) -> np.ndarray:
+    """``points`` as an (N, d) float array; a flat array is N points in
+    dimension 1."""
+    pts = np.asarray(points, dtype=float)
+    return pts[:, None] if pts.ndim == 1 else pts
+
+
+def _mesh(axes) -> np.ndarray:
+    """The tensor grid of the 1-D ``axes`` as (N, d) points, the last axis
+    running fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
 
 @dataclass(frozen=True)
 class OpenBox:
@@ -69,10 +83,8 @@ class OpenBox:
 
     def grid(self, per_axis: int) -> np.ndarray:
         """Interior sample grid, shape (per_axis^d, d)."""
-        axes = [np.linspace(a, b, per_axis + 2)[1:-1]
-                for a, b in zip(self.lo, self.hi)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _mesh([np.linspace(a, b, per_axis + 2)[1:-1]
+                      for a, b in zip(self.lo, self.hi)])
 
     def center(self) -> Tuple[float, ...]:
         return tuple((a + b) / 2 for a, b in zip(self.lo, self.hi))
@@ -148,17 +160,13 @@ class CompactBox:
         return len(self.lo)
 
     def inside(self, dom: Domain) -> bool:
-        return any(all(a2 < a1 and b1 < b2 for a1, b1, a2, b2
+        return any(all(a2 <= a1 and b1 <= b2 for a1, b1, a2, b2
                        in zip(self.lo, self.hi, b.lo, b.hi))
-                   or (all(a2 <= a1 and b1 <= b2 for a1, b1, a2, b2
-                           in zip(self.lo, self.hi, b.lo, b.hi)))
                    for b in dom.boxes)
 
     def grid(self, per_axis: Optional[int] = None) -> np.ndarray:
         n = per_axis or self.resolution
-        axes = [np.linspace(a, b, n) for a, b in zip(self.lo, self.hi)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
+        return _mesh([np.linspace(a, b, n) for a, b in zip(self.lo, self.hi)])
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +174,9 @@ class CompactBox:
 # ---------------------------------------------------------------------------
 
 def _alpha_tuple(alpha, dim: int) -> Tuple[int, ...]:
+    """The multi-index ``alpha`` as a d-tuple; None is order zero."""
+    if alpha is None:
+        return (0,) * dim
     if isinstance(alpha, int):
         if dim != 1:
             raise DerivativeOrderError("integer multi-index only in dimension 1")
@@ -177,22 +188,14 @@ def _alpha_tuple(alpha, dim: int) -> Tuple[int, ...]:
 
 
 class SmoothProvider:
-    """Smooth coefficient function: vectorized evaluation of any partial
-    derivative.  ``max_order`` is None for C^infinity providers."""
+    """C^infinity coefficient function: vectorized evaluation of any
+    partial derivative."""
 
     dim: int = 1
-    max_order: Optional[int] = None
 
     def evaluate(self, points: np.ndarray, alpha=None) -> np.ndarray:
         """points: (N, d) array; returns (N,) array of ∂^alpha values."""
         raise NotImplementedError
-
-    def _check_alpha(self, alpha) -> Tuple[int, ...]:
-        a = _alpha_tuple(alpha, self.dim) if alpha is not None else (0,) * self.dim
-        if self.max_order is not None and sum(a) > self.max_order:
-            raise DerivativeOrderError(
-                f"provider advertises order {self.max_order}, requested {a}")
-        return a
 
     def derivative(self, alpha) -> "SmoothProvider":
         return DerivedProvider(self, _alpha_tuple(alpha, self.dim))
@@ -237,10 +240,8 @@ class ExprProvider(SmoothProvider):
         return self._fns[alpha]
 
     def evaluate(self, points: np.ndarray, alpha=None) -> np.ndarray:
-        a = self._check_alpha(alpha)
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+        a = _alpha_tuple(alpha, self.dim)
+        pts = _as_points(points)
         with np.errstate(all="ignore"):
             out = self._fn(a)(*[pts[:, i] for i in range(self.dim)])
         return np.broadcast_to(np.asarray(out), (pts.shape[0],)).astype(complex)
@@ -262,12 +263,9 @@ class SumProvider(SmoothProvider):
         self.parts = list(parts)
         self.weights = list(weights) if weights is not None else [1.0] * len(self.parts)
         self.dim = self.parts[0].dim
-        orders = [p.max_order for p in self.parts]
-        self.max_order = None if all(o is None for o in orders) else \
-            min(o for o in orders if o is not None)
 
     def evaluate(self, points, alpha=None):
-        a = self._check_alpha(alpha)
+        a = _alpha_tuple(alpha, self.dim)
         out = None
         for w, p in zip(self.weights, self.parts):
             v = w * p.evaluate(points, a)
@@ -287,11 +285,9 @@ class ProductProvider(SmoothProvider):
             raise ProviderError("product of providers of different dimension")
         self.f, self.g = f, g
         self.dim = f.dim
-        orders = [o for o in (f.max_order, g.max_order) if o is not None]
-        self.max_order = min(orders) if orders else None
 
     def evaluate(self, points, alpha=None):
-        a = self._check_alpha(alpha)
+        a = _alpha_tuple(alpha, self.dim)
         out = None
         ranges = [range(k + 1) for k in a]
         for beta in itertools.product(*ranges):
@@ -303,9 +299,6 @@ class ProductProvider(SmoothProvider):
             out = v if out is None else out + v
         return out
 
-    def derivative(self, alpha):
-        return DerivedProvider(self, _alpha_tuple(alpha, self.dim))
-
 
 class DerivedProvider(SmoothProvider):
     """A provider pre-composed with a fixed partial derivative."""
@@ -314,12 +307,9 @@ class DerivedProvider(SmoothProvider):
         self.base = base
         self.alpha = alpha
         self.dim = base.dim
-        self.max_order = None if base.max_order is None else base.max_order - sum(alpha)
-        if self.max_order is not None and self.max_order < 0:
-            raise DerivativeOrderError("derivative order exceeds provider's bound")
 
     def evaluate(self, points, alpha=None):
-        a = self._check_alpha(alpha)
+        a = _alpha_tuple(alpha, self.dim)
         return self.base.evaluate(points, tuple(x + y for x, y in zip(a, self.alpha)))
 
     def derivative(self, alpha):
@@ -328,23 +318,18 @@ class DerivedProvider(SmoothProvider):
 
 
 class CallableProvider(SmoothProvider):
-    """Numeric provider from a family of derivative callables."""
+    """Numeric provider: ``fn(points, alpha)`` gives ∂^alpha on an (N, d)
+    array of points; ``quad_hints`` are breakpoints for ``pair``."""
 
-    def __init__(self, fn_for_alpha: Callable[[Tuple[int, ...]], Callable],
-                 dim: int = 1, max_order: Optional[int] = None):
-        self._fn_for_alpha = fn_for_alpha
+    def __init__(self, fn: Callable, dim: int = 1, quad_hints: Sequence[float] = ()):
+        self.fn = fn
         self.dim = dim
-        self.max_order = max_order
-        self._cache: Dict[Tuple[int, ...], Callable] = {}
+        self.quad_hints = list(quad_hints)
 
     def evaluate(self, points, alpha=None):
-        a = self._check_alpha(alpha)
-        if a not in self._cache:
-            self._cache[a] = self._fn_for_alpha(a)
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        return np.asarray(self._cache[a](pts), dtype=complex).reshape(pts.shape[0])
+        pts = _as_points(points)
+        out = self.fn(pts, _alpha_tuple(alpha, self.dim))
+        return np.asarray(out, dtype=complex).reshape(pts.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -436,12 +421,11 @@ def fn_sub(f: AsymptoticFunction, g: AsymptoticFunction) -> AsymptoticFunction:
 
 def fn_mul(f: AsymptoticFunction, g: AsymptoticFunction) -> AsymptoticFunction:
     dom = f.domain if f.domain is g.domain else f.domain.intersect(g.domain)
-    vf, vg = f.valuation(), g.valuation()
-    h = INF
-    if f.horizon != INF:
-        h = min(h, f.horizon + (vg if vg != INF else 0))
-    if g.horizon != INF:
-        h = min(h, g.horizon + (vf if vf != INF else 0))
+    # as for LCNumber: the unknown tail of one factor meets the leading
+    # term of the other, and a factor with no known terms leads at its horizon
+    vf = f.terms[0][0] if f.terms else f.horizon
+    vg = g.terms[0][0] if g.terms else g.horizon
+    h = min(f.horizon + vg, g.horizon + vf)
     terms = [(q1 + q2, ProductProvider(p1, p2))
              for q1, p1 in f.terms for q2, p2 in g.terms]
     return AsymptoticFunction(terms, dom, h)
@@ -494,7 +478,7 @@ def eval_at(f: AsymptoticFunction, p: AsymptoticPoint,
                 for _ in range(b):
                     mono = mono * dxi
             out = out + LCNumber([(q + qq, cc) for qq, cc in mono.terms],
-                                 horizon=mono.horizon)
+                                 horizon=mono.horizon + q)
     return out.truncate(h)
 
 
@@ -522,7 +506,9 @@ def is_moderate(f: AsymptoticFunction, K: CompactBox,
                 max_alpha: int = 2) -> ModerateReport:
     """Grid-sup moderateness: every coefficient bounded on K (with one
     refinement step as the growth detector), witness n = least n with the
-    dominant magnitude ≤ rho^{-n}."""
+    dominant magnitude ≤ rho^{-n}.  A returned report always reads
+    ``moderate=True``: a coefficient whose sup grows without bound on K
+    raises ``ProviderError`` instead."""
     if not K.inside(f.domain):
         raise DomainError("K is not compactly contained in the domain")
     sups = []
@@ -576,7 +562,7 @@ def is_negligible(f: AsymptoticFunction, K: CompactBox,
 # Pairing and weak equality
 # ---------------------------------------------------------------------------
 
-def _quad_nodes(lo, hi, panels: int = 8, order: int = 16):
+def _quad_nodes(lo, hi, panels: int, order: int):
     """Composite Gauss-Legendre nodes/weights on a box (tensorized)."""
     x, w = np.polynomial.legendre.leggauss(order)
     nodes_1d, weights_1d = [], []
@@ -589,8 +575,7 @@ def _quad_nodes(lo, hi, panels: int = 8, order: int = 16):
             ws.append(half * w)
         nodes_1d.append(np.concatenate(ns))
         weights_1d.append(np.concatenate(ws))
-    mesh = np.meshgrid(*nodes_1d, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    pts = _mesh(nodes_1d)
     wt = weights_1d[0]
     for ww in weights_1d[1:]:
         wt = np.multiply.outer(wt, ww)
@@ -748,9 +733,7 @@ def support(f: AsymptoticFunction, resolution: int = 64,
     cells = []
     for b in f.domain.boxes:
         axes = [np.linspace(a, bb, resolution + 1) for a, bb in zip(b.lo, b.hi)]
-        centers = [0.5 * (ax[:-1] + ax[1:]) for ax in axes]
-        mesh = np.meshgrid(*centers, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        pts = _mesh([0.5 * (ax[:-1] + ax[1:]) for ax in axes])
         mag = np.zeros(pts.shape[0])
         for _, prov in f.terms:
             mag = np.maximum(mag, np.abs(prov.evaluate(pts)))

@@ -13,20 +13,17 @@ log-log rate estimator.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import (DomainError, MomentSystemError, ParameterError,
-                     ProviderError, SpecError)
-from .funcs import (AsymptoticFunction, CallableProvider, CompactBox, Domain,
-                    OpenBox, SmoothProvider, SumProvider, _alpha_tuple,
-                    _integrate, _multi_indices, _quad_nodes, pair)
-from .series import LCNumber
+from .errors import DomainError, MomentSystemError, ParameterError, SpecError
+from .funcs import (AsymptoticFunction, CallableProvider, Domain, SmoothProvider,
+                    SumProvider, _alpha_tuple, _as_points, _integrate,
+                    _multi_indices, _quad_nodes, pair)
 
 MOLLIFIER_BOUND_1D = 8   # largest supported moment order in dimension 1
 MOLLIFIER_BOUND_2D = 4   # and in dimension 2
@@ -92,9 +89,7 @@ class _Bump1D:
 def _bump_nd(points: np.ndarray, center: Sequence[float], width: float,
              alpha: Tuple[int, ...]) -> np.ndarray:
     """∂^alpha of the product bump Π_i psi((x_i - c_i)/w), vectorized."""
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _as_points(points)
     out = np.ones(pts.shape[0])
     for i, (c, k) in enumerate(zip(center, alpha)):
         out = out * _Bump1D.eval((pts[:, i] - c) / width, k) / width ** k
@@ -116,17 +111,15 @@ class TestFunction:
     moment_order: int = 0
 
     def evaluate(self, points: np.ndarray, alpha=None) -> np.ndarray:
-        a = _alpha_tuple(alpha, self.dim) if alpha is not None else (0,) * self.dim
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+        a = _alpha_tuple(alpha, self.dim)
+        pts = _as_points(points)
         out = np.zeros(pts.shape[0])
         for coeff, center, width in self.pieces:
             out = out + coeff * _bump_nd(pts, center, width, a)
         return out
 
     def at(self, point, alpha=None) -> float:
-        a = _alpha_tuple(alpha, self.dim) if alpha is not None else (0,) * self.dim
+        a = _alpha_tuple(alpha, self.dim)
         p = [float(point)] if np.ndim(point) == 0 else [float(x) for x in point]
         total = 0.0
         for coeff, center, width in self.pieces:
@@ -149,13 +142,10 @@ class TestFunction:
         return sorted(hs)
 
     def provider(self) -> SmoothProvider:
-        def make(alpha):
-            return lambda pts: self.evaluate(pts, alpha)
-        p = CallableProvider(make, dim=self.dim)
-        p.quad_hints = self.quad_hints()
-        return p
+        return CallableProvider(lambda pts, a: self.evaluate(pts, a), self.dim,
+                                self.quad_hints())
 
-    def moment(self, alpha, tol: float = 1e-12) -> float:
+    def moment(self, alpha) -> float:
         """∫ x^alpha Θ(x) dx by high-order Gauss per piece."""
         a = _alpha_tuple(alpha, self.dim)
         total = 0.0
@@ -286,10 +276,8 @@ class DeltaKernel:
         return self.rho * self.theta.support_radius
 
     def evaluate(self, points: np.ndarray, alpha=None, center=None) -> np.ndarray:
-        a = _alpha_tuple(alpha, self.dim) if alpha is not None else (0,) * self.dim
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+        a = _alpha_tuple(alpha, self.dim)
+        pts = _as_points(points)
         if center is not None:
             pts = pts - np.asarray(center, dtype=float)
         scale = self.rho ** (-(self.dim + sum(a)))
@@ -297,13 +285,9 @@ class DeltaKernel:
 
     def provider(self, center=None) -> SmoothProvider:
         c = np.zeros(self.dim) if center is None else np.asarray(center, dtype=float)
-
-        def make(alpha):
-            return lambda pts: self.evaluate(pts, alpha, center=c)
-        p = CallableProvider(make, dim=self.dim)
         r = self.support_radius
-        p.quad_hints = sorted({float(ci + s * r) for ci in c for s in (-1, 0, 1)})
-        return p
+        return CallableProvider(lambda pts, a: self.evaluate(pts, a, center=c), self.dim,
+                                sorted({float(ci + s * r) for ci in c for s in (-1, 0, 1)}))
 
     def quad_nodes(self) -> Tuple[np.ndarray, np.ndarray]:
         """Gauss nodes/weights exactly covering the kernel's bump pieces
@@ -331,9 +315,7 @@ def rho_delta(theta: TestFunction, rho: float) -> DeltaKernel:
 
 def _depth_inside(pts: np.ndarray, dom: Domain) -> np.ndarray:
     """max over boxes of the per-axis depth (negative outside every box)."""
-    pts = np.asarray(pts, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _as_points(pts)
     best = np.full(pts.shape[0], -np.inf)
     for b in dom.boxes:
         lo = np.asarray(b.lo)
@@ -353,7 +335,6 @@ class CutoffProvider(SmoothProvider):
         self.dom = dom
         self.kernel = kernel
         self.dim = dom.dim
-        self.max_order = None
         self._nodes, self._weights = kernel.quad_nodes()
 
     def _chi(self, pts: np.ndarray) -> np.ndarray:
@@ -363,10 +344,8 @@ class CutoffProvider(SmoothProvider):
         return ((depth >= 2 * rho) & (norm < 1.0 / rho)).astype(float)
 
     def evaluate(self, points, alpha=None):
-        a = self._check_alpha(alpha)
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+        a = _alpha_tuple(alpha, self.dim)
+        pts = _as_points(points)
         rho, r = self.kernel.rho, self.kernel.support_radius
         depth = _depth_inside(pts, self.dom)
         out = np.zeros(pts.shape[0], dtype=complex)
@@ -450,12 +429,11 @@ class _HeavisideConv(SmoothProvider):
     def __init__(self, kernel: DeltaKernel):
         self.kernel = kernel
         self.dim = 1
-        self.max_order = None
         self.quad_hints = [-kernel.support_radius, 0.0, kernel.support_radius]
         self._mass = kernel.theta.moment(0)
 
     def evaluate(self, points, alpha=None):
-        a = self._check_alpha(alpha)
+        a = _alpha_tuple(alpha, self.dim)
         pts = np.asarray(points, dtype=float).reshape(-1)
         if a[0] == 0:
             r = self.kernel.theta.support_radius
@@ -484,14 +462,11 @@ class _ConvolutionProvider(SmoothProvider):
     def __init__(self, g: SmoothProvider, cut: CutoffProvider, kernel: DeltaKernel):
         self.g, self.cut, self.kernel = g, cut, kernel
         self.dim = kernel.dim
-        self.max_order = None
         self._nodes, self._weights = kernel.quad_nodes()
 
     def evaluate(self, points, alpha=None):
-        a = self._check_alpha(alpha)
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+        a = _alpha_tuple(alpha, self.dim)
+        pts = _as_points(points)
         kv = self.kernel.evaluate(self._nodes, a)
         shifted = pts[:, None, :] - self._nodes[None, :, :]     # (N, M, d)
         flat = shifted.reshape(-1, self.dim)

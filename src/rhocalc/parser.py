@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple, Union
 
 from . import closure
-from .errors import (BackendError, DivisionByZero, DomainError, ParseError,
-                     RhoCalcError)
+from .errors import (BackendError, BudgetError, DivisionByZero, DomainError,
+                     ParseError, RhoCalcError)
 from .series import (DUST_REL, INF, Backend, ExtendedScalar, Kind, LCNumber,
                      _as_exp, _coerce_backend, check_budget, format_lc, lc_sum)
 
@@ -200,9 +201,22 @@ class _Parser:
         raise self.error(f"unexpected {text or 'end of input'!r}", t)
 
 
+# Python's int <-> str digit limit; 0 (or an interpreter without one): none
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def _number(text: str) -> Union[int, Fraction]:
     """The exact value of an unsigned number literal: an int, or a
-    Fraction if it has a point or an exponent (``1e-05`` is 1/100000)."""
+    Fraction if it has a point or an exponent (``1e-05`` is 1/100000).
+    A mantissa or exponent of more digits than Python converts from text
+    is refused."""
+    limit = _int_max_str_digits()
+    if limit and len(text) > limit:
+        mantissa, _, exp = text.lower().partition("e")
+        digits = max(len(mantissa) - ("." in mantissa), len(exp.lstrip("+-")))
+        if digits > limit:
+            raise BudgetError(f"work budget exceeded: a number literal of {digits} "
+                              f"digits (at most {limit})")
     if "e" in text or "E" in text:
         exp = int(text.lower().partition("e")[2])
         check_budget("a number literal", bits=abs(exp) * math.log2(10))

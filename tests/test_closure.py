@@ -286,6 +286,42 @@ class TestTranscendental:
         with pytest.raises(BackendError):
             lc_log(2 + R)
 
+    # f(a), f'(a), f''(a), ... repeating, as functions of the standard part a
+    CYCLES = {lc_exp: lambda a: [cmath.exp(a)],
+              lc_sin: lambda a: [cmath.sin(a), cmath.cos(a), -cmath.sin(a), -cmath.cos(a)],
+              lc_cos: lambda a: [cmath.cos(a), -cmath.sin(a), -cmath.cos(a), cmath.sin(a)]}
+    RATIONAL_TAYLOR = {lc_exp: lambda k: Fraction(1, math.factorial(k)),
+                       lc_sin: lambda k: Fraction((-1) ** (k // 2) * (k % 2), math.factorial(k)),
+                       lc_cos: lambda k: Fraction((-1) ** (k // 2) * (1 - k % 2),
+                                                  math.factorial(k))}
+
+    @pytest.mark.parametrize("fn", [lc_exp, lc_sin, lc_cos])
+    @pytest.mark.parametrize("x", [LCNumber({Fraction(1, 2): Fraction(1)}, backend="rational"),
+                                   R - R ** 2])
+    def test_rational_lift_is_the_taylor_sum(self, fn, x):
+        H = Fraction(8)
+        want = LCNumber.from_scalar(self.RATIONAL_TAYLOR[fn](0), "rational")
+        power = LCNumber.from_scalar(Fraction(1), "rational")
+        k = 0
+        while (k + 1) * x.valuation() < H:
+            k += 1
+            power = (power * x).truncate(H)
+            want = want + power * self.RATIONAL_TAYLOR[fn](k)
+        want = want.truncate(H)
+        got = fn(x, horizon=H)
+        assert got.terms == want.terms and got.horizon == want.horizon
+        assert all(type(c) is Fraction for _, c in got.terms)
+
+    @pytest.mark.parametrize("fn", [lc_exp, lc_sin, lc_cos])
+    @pytest.mark.parametrize("a", [0.3, -1.2 + 0.5j])
+    def test_float_lift_coefficients(self, fn, a):
+        got = fn(LCNumber.from_scalar(a, "float") + RF, horizon=Fraction(8))
+        cycle = self.CYCLES[fn](complex(a))
+        assert [q for q, _ in got.terms] == [Fraction(k) for k in range(8)]
+        for k, (_, c) in enumerate(got.terms):
+            want = cycle[k % len(cycle)] / math.factorial(k)
+            assert abs(c - want) <= 1e-15 * max(1.0, abs(c)), k
+
 
 class TestPolynomial:
     def test_eval_and_derivative(self):

@@ -80,6 +80,22 @@ class TestEvaluation:
         v = eval_at(h, AsymptoticPoint((0.7,))).coefficient(Fraction(0))
         assert v == pytest.approx(math.cos(2 * 0.7))
 
+    @pytest.mark.parametrize("q, terms, horizon", [
+        (-1, [(-1, 0.5), (0, 1.0)], 2),       # rho^-1 (0.5 + rho + O(rho^3))
+        (2, [(2, 0.5), (3, 1.0)], 5)])        # rho^2 (0.5 + rho + O(rho^3))
+    def test_monad_horizon_shifts_with_the_term(self, q, terms, horizon):
+        f = AsymptoticFunction([(q, ExprProvider("x1", dim=1))], DOM)
+        dx = LCNumber({1: 1.0}, horizon=3, backend="float")
+        v = eval_at(f, AsymptoticPoint((0.5,), LCVector([dx])), horizon=6)
+        assert v.terms == tuple((Fraction(e), complex(c)) for e, c in terms)
+        assert v.horizon == horizon
+
+    def test_product_horizon_follows_the_series_rule(self):
+        z = AsymptoticFunction.zero(DOM, horizon=-1)
+        zz = LCNumber.zero(backend="rational").truncate(-1)
+        assert fn_mul(z, z).horizon == (zz * zz).horizon == -2
+        assert fn_mul(F("x1"), AsymptoticFunction.zero(DOM, horizon=3)).horizon == 3
+
 
 class TestModeration:
     K = CompactBox((-2.0,), (2.0,))

@@ -58,3 +58,21 @@ def test_star_import_binds_the_same_names():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         rhocalc.no_such_name
+
+
+def test_every_traced_attribute_is_an_own_attribute():
+    # the benchmark tracer wraps owner.__dict__[attr] on classes; an
+    # attribute moved to a base class would silently go untraced
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for owner, attr, name, _ in tracing.layer_patches():
+        where = f"{getattr(owner, '__name__', owner)}.{attr} ({name})"
+        if isinstance(owner, type):
+            assert attr in owner.__dict__, where
+        else:
+            assert hasattr(owner, attr), where

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -258,6 +259,20 @@ class TestBudget:
         out = capsys.readouterr().err.strip()
         assert code == 3 and dt < 1.0
         assert out.startswith("error: work budget exceeded: ") and "\n" not in out
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-to-str digit limit in this interpreter")
+    @pytest.mark.parametrize("text", ["1" * 5000, "1." + "1" * 5000, "1" * 4301 + "*eps",
+                                      "1e" + "1" * 5000])
+    def test_long_literal_is_refused_typed(self, capsys, text):
+        assert main(["eval", text]) == 3
+        out = capsys.readouterr().err.strip()
+        assert out.startswith("error: work budget exceeded: a number literal of ")
+        assert "\n" not in out
+
+    def test_literal_at_the_digit_limit_evaluates(self):
+        digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+        assert ev("1" * digits).terms == ((0, int("1" * digits)),)
 
     def test_power_budget_is_typed(self):
         x = LCNumber({0: 1, 1: 1}, backend="float")
