@@ -199,9 +199,10 @@ def _rational_nth_root(c: Fraction, n: int) -> Optional[Fraction]:
 
 def _taylor_apply(x: LCNumber, name: str, at_zero, cycle, horizon=None) -> LCNumber:
     """f(x) by the Taylor series of f around the standard part a of x.
-    The derivatives f(a), f'(a), ... repeat with period len(d), where d is
-    ``at_zero`` (exact, a = 0) on the rational backend and ``cycle(a)`` on
-    the float backend; coefficient k is d[k % len(d)] / k!."""
+    f(a), f'(a), ... repeat as d: ``at_zero`` (exact, a = 0) on the rational
+    backend, ``cycle(a)`` on the float one. Coefficient k is d[k % len(d)] / k!;
+    in floats sin and cos divide by k!, while exp, and any order past 170!
+    (the largest factorial a double holds), scale by the exact 1/k! rounded once."""
     if x.kind() is Kind.INFINITE:
         raise DomainError(f"{name} of an infinite element leaves the field")
     rational = x.backend is Backend.RATIONAL
@@ -213,7 +214,11 @@ def _taylor_apply(x: LCNumber, name: str, at_zero, cycle, horizon=None) -> LCNum
     H = x.horizon if x.horizon != INF else (
         _as_exp(horizon) if horizon is not None else DEFAULT_DEPTH)
     e = x - LCNumber.from_scalar(a, backend=x.backend.value)
-    return _series_in(e.truncate(H), lambda k: d[k % len(d)] / math.factorial(k), H)
+
+    def coeff(k):
+        c, f = d[k % len(d)], math.factorial(k)
+        return c / f if rational or len(d) > 1 and k <= 170 else c * complex(Fraction(1, f))
+    return _series_in(e.truncate(H), coeff, H)
 
 
 def lc_exp(x: LCNumber, horizon=None) -> LCNumber:

@@ -322,6 +322,21 @@ class TestTranscendental:
             want = cycle[k % len(cycle)] / math.factorial(k)
             assert abs(c - want) <= 1e-15 * max(1.0, abs(c)), k
 
+    @pytest.mark.parametrize("fn", [lc_exp, lc_sin, lc_cos])
+    def test_float_lift_past_170_factorial(self, fn):
+        # rho^(1/20) at the default depth 10 needs Taylor orders up to 199,
+        # past the largest factorial a double holds (170!)
+        got = fn(LCNumber({Fraction(1, 20): 1.0}, backend="float"))
+        assert got.horizon == 10 and max(q for q, _ in got.terms) > Fraction(171, 20)
+        for q, c in got.terms:
+            want = self.RATIONAL_TAYLOR[fn](int(q * 20))
+            if fn is lc_exp:
+                # exp scales by the exact 1/k! rounded once
+                assert c == complex(want), q
+            else:
+                assert c.imag == 0 and math.isclose(c.real, float(want), rel_tol=1e-15,
+                                                    abs_tol=1e-320), q
+
 
 class TestPolynomial:
     def test_eval_and_derivative(self):
