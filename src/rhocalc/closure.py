@@ -10,7 +10,8 @@ series roots by Newton iteration whose working cut grows the same way,
 with recentering recursion for clusters that share a leading term.
 Transcendental functions are lifted through their Taylor series around
 the standard part.  Cantor completeness is witnessed constructively on
-nested interval chains.
+nested interval chains.  Monomial scaling and the product horizon live
+in ``series``; terms that are already normal are filtered through ``_make``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import (BackendError, DivisionByZero, DomainError, LiftError,
                      NestingError, OrderError, RootError)
-from .series import INF, Backend, Kind, LCNumber, _as_exp
+from .series import INF, Backend, Kind, LCNumber, _as_exp, _times_monomial
 
 DEFAULT_DEPTH = Fraction(10)  # relative series depth used for exact inputs
 
@@ -38,17 +39,6 @@ def _one(x: LCNumber) -> LCNumber:
     """The exact series 1 on x's backend."""
     one = Fraction(1) if x.backend is Backend.RATIONAL else 1 + 0j
     return x._make(((Fraction(0), one),), INF)
-
-
-def _times_monomial(x: LCNumber, terms, v, c, horizon) -> LCNumber:
-    """c*rho^v times the sorted ``terms``, below ``horizon``, built through
-    ``_make``: a shift and a nonzero scale keep the terms sorted and below
-    the shifted horizon.  On the float backend a product can underflow to
-    zero, and ``0 + p`` turns a -0.0 part into 0.0, as ``LCNumber()`` does."""
-    if x.backend is Backend.RATIONAL:
-        return x._make(tuple((q + v, p * c) for q, p in terms), horizon)
-    return x._make(tuple(t for t in ((q + v, 0 + p * c) for q, p in terms) if t[1]),
-                   horizon)
 
 
 def _rel_horizon(x: LCNumber, horizon) -> Fraction:
@@ -116,7 +106,7 @@ def _series_in(u: LCNumber, coeffs, H: Fraction) -> LCNumber:
         term = (term * u).truncate(H)
         c = coeffs(k)
         if c != 0:
-            out = out + term * LCNumber.from_scalar(c, backend=u.backend.value)
+            out = out + _times_monomial(term, term.terms, 0, c, term.horizon)
     return out.truncate(H)
 
 
@@ -210,7 +200,10 @@ def _taylor_apply(x: LCNumber, name: str, at_zero, cycle, horizon=None) -> LCNum
     if rational and a != 0:
         raise BackendError(
             f"{name} at nonzero standard part {a} is irrational; use the float backend")
-    d = [Fraction(c) for c in at_zero] if rational else cycle(complex(a))
+    try:
+        d = [Fraction(c) for c in at_zero] if rational else cycle(complex(a))
+    except OverflowError:
+        raise BackendError(f"{name} at {a} overflows the float backend") from None
     H = x.horizon if x.horizon != INF else (
         _as_exp(horizon) if horizon is not None else DEFAULT_DEPTH)
     e = x - LCNumber.from_scalar(a, backend=x.backend.value)
@@ -400,8 +393,7 @@ def _depollute(poly: LCPolynomial) -> LCPolynomial:
     if scale == 0.0:
         return poly
     cut = _POLY_DUST * scale
-    out = [LCNumber([(q, v) for q, v in c.terms if abs(v) > cut],
-                    horizon=c.horizon, backend="float")
+    out = [c._make(tuple(t for t in c.terms if abs(t[1]) > cut), c.horizon)
            for c in poly.coeffs]
     return LCPolynomial(out) if any(not c.is_zero() for c in out) else poly
 
@@ -411,9 +403,9 @@ def _segment_roots(cs: List[LCNumber], below: Optional[Fraction]):
     for the segments whose root valuation mu exceeds ``below`` (all if
     None); i1 is the index of the segment's right end."""
     import numpy as np
-    points = [(i, c.valuation()) for i, c in enumerate(cs) if not c.is_zero()]
+    hull = _lower_hull([(i, c.valuation()) for i, c in enumerate(cs) if not c.is_zero()])
     out = []
-    for (i0, v0), (i1, v1) in zip(_lower_hull(points), _lower_hull(points)[1:]):
+    for (i0, v0), (i1, v1) in zip(hull, hull[1:]):
         mu = Fraction(v0 - v1, i1 - i0)
         if below is not None and mu <= below:
             continue
@@ -486,8 +478,7 @@ def _poly_scale(poly: LCPolynomial, x: LCNumber) -> float:
 
 
 def _clean(x: LCNumber, tol: float) -> LCNumber:
-    return LCNumber([(q, c) for q, c in x.terms if abs(c) > tol],
-                    horizon=x.horizon, backend="float")
+    return x._make(tuple(t for t in x.terms if abs(t[1]) > tol), x.horizon)
 
 
 def _newton_refine(poly: LCPolynomial, x0: LCNumber, target: Fraction) -> LCNumber:

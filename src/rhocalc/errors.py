@@ -46,7 +46,8 @@ class DomainError(RhoCalcError):
 
 
 class DerivativeOrderError(RhoCalcError):
-    """A coefficient provider was asked for a derivative beyond its order."""
+    """A derivative was asked for with a malformed multi-index: negative
+    entries, the wrong length, or an integer in dimension > 1."""
 
 
 class ProviderError(RhoCalcError):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import (ConnectivityError, DerivativeOrderError, DomainError,
                      GlueError, ModeError, ProviderError)
-from .series import INF, LCNumber, LCVector, _as_exp
+from .series import INF, LCNumber, LCVector, _as_exp, _product_horizon
 
 NEGLIGIBLE_RTOL = 1e-10   # grid-sup below this fraction of the function's
                           # scale on K counts as the zero coefficient
@@ -206,17 +206,20 @@ class SmoothProvider:
 
 class ExprProvider(SmoothProvider):
     """Sympy-expression coefficient with cached lambdified derivatives.
-    sympy is imported here, when the first one is built, not with the
-    module."""
+    With ``dim`` given and every free symbol among x1..xd, xi is axis i;
+    other free symbols take the axes in sorted order.  sympy is imported
+    here, when the first one is built, not with the module."""
 
     def __init__(self, expr, symbols=None, dim: Optional[int] = None):
         import sympy as sp
         expr = sp.sympify(expr)
         if symbols is None:
-            free = sorted(expr.free_symbols, key=lambda s: s.name)
-            if dim is not None and len(free) < dim:
-                free = [sp.Symbol(f"x{i+1}") for i in range(dim)] if not free else free
-            symbols = free or [sp.Symbol("x")]
+            free = {s.name: s for s in expr.free_symbols}
+            axes = [f"x{i+1}" for i in range(dim or 0)]
+            if axes and free.keys() <= set(axes):
+                symbols = [free.get(a, sp.Symbol(a)) for a in axes]
+            else:
+                symbols = [free[n] for n in sorted(free)] or [sp.Symbol("x")]
         self.symbols = list(symbols)
         self.expr = expr
         self.dim = max(len(self.symbols), dim or 1)
@@ -253,9 +256,7 @@ class ExprProvider(SmoothProvider):
 
 class ConstProvider(ExprProvider):
     def __init__(self, value, dim: int = 1):
-        import sympy as sp
-        super().__init__(sp.sympify(value), symbols=[sp.Symbol(f"x{i+1}") for i in range(dim)],
-                         dim=dim)
+        super().__init__(value, dim=dim)
 
 
 class SumProvider(SmoothProvider):
@@ -421,14 +422,9 @@ def fn_sub(f: AsymptoticFunction, g: AsymptoticFunction) -> AsymptoticFunction:
 
 def fn_mul(f: AsymptoticFunction, g: AsymptoticFunction) -> AsymptoticFunction:
     dom = f.domain if f.domain is g.domain else f.domain.intersect(g.domain)
-    # as for LCNumber: the unknown tail of one factor meets the leading
-    # term of the other, and a factor with no known terms leads at its horizon
-    vf = f.terms[0][0] if f.terms else f.horizon
-    vg = g.terms[0][0] if g.terms else g.horizon
-    h = min(f.horizon + vg, g.horizon + vf)
     terms = [(q1 + q2, ProductProvider(p1, p2))
              for q1, p1 in f.terms for q2, p2 in g.terms]
-    return AsymptoticFunction(terms, dom, h)
+    return AsymptoticFunction(terms, dom, _product_horizon(f, g))
 
 
 def fn_derive(f: AsymptoticFunction, alpha) -> AsymptoticFunction:
@@ -472,13 +468,11 @@ def eval_at(f: AsymptoticFunction, p: AsymptoticPoint,
             c = prov.at(p.base, beta)
             if c == 0:
                 continue
-            coef = c / math.prod(math.factorial(b) for b in beta)
-            mono = LCNumber.from_scalar(coef)
+            mono = LCNumber({q: c / math.prod(math.factorial(b) for b in beta)})
             for dxi, b in zip(dx.entries, beta):
                 for _ in range(b):
                     mono = mono * dxi
-            out = out + LCNumber([(q + qq, cc) for qq, cc in mono.terms],
-                                 horizon=mono.horizon + q)
+            out = out + mono
     return out.truncate(h)
 
 

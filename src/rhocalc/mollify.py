@@ -265,11 +265,14 @@ class DeltaKernel:
 
     theta: TestFunction
     rho: float
-    moment_order: int
 
     @property
     def dim(self) -> int:
         return self.theta.dim
+
+    @property
+    def moment_order(self) -> int:
+        return self.theta.moment_order
 
     @property
     def support_radius(self) -> float:
@@ -306,7 +309,7 @@ class DeltaKernel:
 def rho_delta(theta: TestFunction, rho: float) -> DeltaKernel:
     if not rho > 0:
         raise ParameterError("rho must be positive")
-    return DeltaKernel(theta, float(rho), theta.moment_order)
+    return DeltaKernel(theta, float(rho))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +343,7 @@ class CutoffProvider(SmoothProvider):
     def _chi(self, pts: np.ndarray) -> np.ndarray:
         rho = self.kernel.rho
         depth = _depth_inside(pts, self.dom)
-        norm = np.max(np.abs(pts), axis=1) if pts.ndim > 1 else np.abs(pts)
+        norm = np.max(np.abs(pts), axis=1)
         return ((depth >= 2 * rho) & (norm < 1.0 / rho)).astype(float)
 
     def evaluate(self, points, alpha=None):
@@ -349,11 +352,9 @@ class CutoffProvider(SmoothProvider):
         rho, r = self.kernel.rho, self.kernel.support_radius
         depth = _depth_inside(pts, self.dom)
         out = np.zeros(pts.shape[0], dtype=complex)
+        ones = depth >= 2 * rho + r     # flat region: all derivatives vanish
         if sum(a) == 0:
-            ones = depth >= 2 * rho + r
             out[ones] = 1.0
-        else:
-            ones = depth >= 2 * rho + r  # flat region: all derivatives vanish
         zeros = depth <= 2 * rho - r
         rim = ~(ones | zeros)
         if np.any(rim):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import re
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, NamedTuple, Tuple, Union
@@ -28,8 +27,9 @@ from typing import List, NamedTuple, Tuple, Union
 from . import closure
 from .errors import (BackendError, BudgetError, DivisionByZero, DomainError,
                      ParseError, RhoCalcError)
-from .series import (DUST_REL, INF, Backend, ExtendedScalar, Kind, LCNumber,
-                     _as_exp, _coerce_backend, check_budget, format_lc, lc_sum)
+from .series import (INF, Backend, ExtendedScalar, Kind, LCNumber, _as_exp,
+                     _coerce_backend, _int_max_str_digits, _text, _times_monomial,
+                     check_budget, format_lc, lc_sum)
 
 _TOKEN_RE = re.compile(r"""
     (?P<num>\d+(\.\d+)?([eE][-+]?\d+)?j?) |
@@ -201,10 +201,6 @@ class _Parser:
         raise self.error(f"unexpected {text or 'end of input'!r}", t)
 
 
-# Python's int <-> str digit limit; 0 (or an interpreter without one): none
-_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
-
-
 def _number(text: str) -> Union[int, Fraction]:
     """The exact value of an unsigned number literal: an int, or a
     Fraction if it has a point or an exponent (``1e-05`` is 1/100000).
@@ -309,12 +305,8 @@ class _Evaluator:
         if not (cc and x.terms and 0 < self.H):
             return self.lit(c) * x
         h = x.horizon if self.H is INF else min(x.horizon, self.H + x.terms[0][0])
-        terms = x.terms if h is INF else tuple(t for t in x.terms if t[0] < h)
-        if self.rational:
-            return x._make(tuple((q, cc * cq) for q, cq in terms), h)
-        # a product's float dust rule, for one product per exponent
-        return x._make(tuple((q, p) for q, p in ((q, cc * cq) for q, cq in terms)
-                             if abs(p) > DUST_REL * abs(p)), h)
+        terms = x.terms if h == INF else tuple(t for t in x.terms if t[0] < h)
+        return _times_monomial(x, terms, 0, cc, h)
 
     def operand(self, node: Expr, where: str = ""):
         return _checked(node, self.ev(node), where)
@@ -453,10 +445,10 @@ def render(value) -> str:
         v = value.value
         if isinstance(v, complex):
             return repr(v.real) if v.imag == 0 else repr(v)
-        return str(v)
+        return _text(v)
     if isinstance(value, Kind):
         return value.value
-    return str(value)
+    return _text(value)
 
 
 def serialize(x: LCNumber) -> str:

@@ -21,12 +21,18 @@ and build one ``Fraction(k, L)`` and one ``Fraction(n, Da*Db)`` per term
 of the result.  Comparisons (``==``, the order, ``same_monad`` and
 ``same_galaxy``) read the leading term of x - y without building it: they
 walk both term tuples to the first exponent below the joint horizon at
-which they differ, so they cost what the common leading run costs.
+which they differ, so they cost what the common leading run costs.  The
+normal form of a result has one owner, this module: the float rule
+:func:`_kept`, the product horizon :func:`_product_horizon` (shared by
+``funcs.fn_mul``) and the monomial scaling :func:`_times_monomial` (called
+by ``closure`` and ``parser``).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -44,7 +50,42 @@ Coefficient = Union[Fraction, complex, float, int]
 
 
 def _as_exp(q) -> Fraction:
-    return q if isinstance(q, Fraction) else Fraction(q)
+    """q as a Fraction; OrderError for a value that is no rational number."""
+    if isinstance(q, Fraction):
+        return q
+    try:
+        return Fraction(q)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise OrderError(f"exponent or horizon {q!r} is not a rational number") from None
+
+
+# Python's int <-> str digit limit; 0 (or an interpreter without one): none
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _text(n) -> str:
+    """str(n) for an int or Fraction; a number of more decimal digits than
+    Python converts to text is refused with BudgetError."""
+    try:
+        return str(n)
+    except ValueError:
+        digits = math.ceil(max(abs(n.numerator), n.denominator).bit_length() * math.log10(2))
+        raise BudgetError(f"work budget exceeded: a number of about {digits} digits "
+                          f"to print (at most {_int_max_str_digits()})") from None
+
+
+def _finite(c: complex) -> complex:
+    """c, a float coefficient; BackendError if a part is inf or nan."""
+    if not cmath.isfinite(c):
+        raise BackendError("float overflow: a coefficient is out of the double range")
+    return c
+
+
+def _kept(c: complex, mag: float) -> bool:
+    """The float rule: a result coefficient c, built as ``0 + p`` (no -0.0
+    part) from parts of largest magnitude ``mag``, is dust unless it passes
+    DUST_REL * mag.  An overflow is refused, not swept as dust."""
+    return abs(_finite(c)) > DUST_REL * mag
 
 
 # Ring operations run on the exponent lattice (1/L)Z: each exponent q
@@ -102,7 +143,7 @@ def _lead_diff(x: "LCNumber", y: "LCNumber"):
             cb = b[j][1]
             j += 1
         c = ca - cb
-        if (c != 0) if rational else (abs(c) > DUST_REL * max(abs(ca), abs(cb))):
+        if (c != 0) if rational else _kept(c, max(abs(ca), abs(cb))):
             return q, c
 
 
@@ -157,7 +198,26 @@ def lc_sum(summands) -> "LCNumber":
                 exps[k] = q
                 mag[k] = abs(c)
     return x0._make(tuple((exps[k], acc[k]) for k in sorted(acc)
-                          if abs(acc[k]) > DUST_REL * mag[k]), h)
+                          if _kept(acc[k], mag[k])), h)
+
+
+def _product_horizon(a, b):
+    """min(h1 + v2, h2 + v1) for a, b with ``.terms`` and ``.horizon``: one
+    factor's unknown tail meets the other's lead, which is its horizon if
+    it has no terms."""
+    va = a.terms[0][0] if a.terms else a.horizon
+    vb = b.terms[0][0] if b.terms else b.horizon
+    return min(a.horizon + vb, b.horizon + va)
+
+
+def _times_monomial(x: "LCNumber", terms, v, c, horizon) -> "LCNumber":
+    """c*rho^v times the sorted ``terms`` of x, below ``horizon``, through
+    ``_make``: a shift and a nonzero scale keep terms sorted and normal; a
+    float product that underflows to zero is dropped."""
+    if x.backend is Backend.RATIONAL:
+        return x._make(tuple((q + v if v else q, p * c) for q, p in terms), horizon)
+    return x._make(tuple(t for t in ((q + v if v else q, 0 + p * c) for q, p in terms)
+                         if _kept(t[1], 0.0)), horizon)
 
 
 class Backend(Enum):
@@ -181,9 +241,12 @@ def _check_coeff(c, backend: Backend):
         if isinstance(c, int):
             return Fraction(c)
         raise BackendError(f"rational backend needs Fraction/int coefficients, got {type(c).__name__}")
-    if isinstance(c, (int, float, complex, Fraction)):
-        return complex(c)
-    raise BackendError(f"float backend cannot accept {type(c).__name__} coefficients")
+    if not isinstance(c, (int, float, complex, Fraction)):
+        raise BackendError(f"float backend cannot accept {type(c).__name__} coefficients")
+    try:
+        return _finite(complex(c))
+    except OverflowError:
+        raise BackendError("coefficient too large for the float backend") from None
 
 
 class Sign(Enum):
@@ -339,17 +402,7 @@ class LCNumber:
 
     def __mul__(self, other) -> "LCNumber":
         other = self._join(other)
-        # horizon: unknown tail of one factor meets the leading term of the
-        # other, so the product is sound up to min(h1+v2, h2+v1); a factor
-        # with no known terms leads at its horizon at the earliest (an
-        # exact zero makes the product exactly zero)
-        v1 = self.terms[0][0] if self.terms else self.horizon
-        v2 = other.terms[0][0] if other.terms else other.horizon
-        h = INF
-        if self.horizon != INF:
-            h = min(h, self.horizon + v2)
-        if other.horizon != INF:
-            h = min(h, other.horizon + v1)
+        h = _product_horizon(self, other)
         if self.is_zero() or other.is_zero():
             return self._make((), h)
         L = _lattice_den((self.terms, other.terms))
@@ -384,7 +437,7 @@ class LCNumber:
                 acc[k] = acc.get(k, 0) + p
                 mag[k] = max(mag.get(k, 0.0), abs(p))
         return self._make(tuple((Fraction(k, L), c) for k, c in sorted(acc.items())
-                                if abs(c) > DUST_REL * mag[k]), h)
+                                if _kept(c, mag[k])), h)
 
     __rmul__ = __mul__
 
@@ -540,7 +593,7 @@ class LCNumber:
 
     # -- presentation -----------------------------------------------------
     def __repr__(self):
-        h = "inf" if self.horizon == INF else str(self.horizon)
+        h = "inf" if self.horizon == INF else _text(self.horizon)
         return f"LCNumber({format_lc(self)!r}, horizon={h}, backend={self.backend.value!r})"
 
 
@@ -553,12 +606,12 @@ def format_lc(x: LCNumber) -> str:
         if isinstance(c, complex):
             cs = repr(c.real) if c.imag == 0 else f"({c.real}{c.imag:+}j)"
         else:
-            cs = str(c) if (isinstance(c, Fraction) and c.denominator == 1) or not isinstance(c, Fraction) \
-                else f"({c})"
+            cs = f"({_text(c)})" if isinstance(c, Fraction) and c.denominator != 1 \
+                else _text(c)
         if q == 0:
             parts.append(cs)
         else:
-            qs = str(q) if q.denominator == 1 else f"({q})"
+            qs = _text(q) if q.denominator == 1 else f"({_text(q)})"
             parts.append(f"r^{qs}" if cs == "1" else f"{cs}*r^{qs}")
     return " + ".join(parts)
 

@@ -13,12 +13,24 @@ from rhocalc.closure import (LCInterval, LCPolynomial, effective_valuation,
                              inverse, lc_cos, lc_exp, lc_log, lc_sin,
                              nested_interval_point, nth_root, poly_roots,
                              _poly_scale, _rational_nth_root, _rel_horizon,
-                             _split_unit, _times_monomial, sqrt)
-from rhocalc.series import INF, Backend, LCNumber
+                             _split_unit, sqrt)
+from rhocalc.series import INF, Backend, LCNumber, _times_monomial
 
 
 R = LCNumber.rho(backend="rational")
 RF = LCNumber.rho(backend="float")
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: inverse(x, horizon=INF),
+    lambda x: nth_root(x, 2, horizon=INF),
+    lambda x: lc_exp(x - 1, horizon=INF),
+    lambda x: poly_roots(LCPolynomial([-x, LCNumber.zero(), LCNumber.rho(0)]),
+                         precision=INF)], ids=["inverse", "nth_root", "lc_exp", "poly_roots"])
+def test_infinite_horizon_is_an_order_error(call):
+    # an exponent or horizon that is no rational number is refused typed
+    with pytest.raises(OrderError):
+        call(LCNumber({0: 1.0, 1: 1.0}, backend="float"))
 
 
 class TestInverse:

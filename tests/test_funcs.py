@@ -90,6 +90,14 @@ class TestEvaluation:
         assert v.terms == tuple((Fraction(e), complex(c)) for e, c in terms)
         assert v.horizon == horizon
 
+    def test_axis_names_bind_to_their_axes(self):
+        # x2 alone is still the second coordinate
+        p = ExprProvider("x2**2", dim=2)
+        assert p.evaluate([[1.0, 3.0]])[0] == 9
+        assert p.derivative((0, 1)).evaluate([[1.0, 3.0]])[0] == 6
+        assert p.derivative((1, 0)).evaluate([[1.0, 3.0]])[0] == 0
+        assert ConstProvider(5.0, dim=2).evaluate([[1.0, 3.0]])[0] == 5
+
     def test_product_horizon_follows_the_series_rule(self):
         z = AsymptoticFunction.zero(DOM, horizon=-1)
         zz = LCNumber.zero(backend="rational").truncate(-1)

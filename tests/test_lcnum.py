@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from rhocalc import parser
 from rhocalc.errors import BackendError, DimensionError, OrderError
 from rhocalc.series import (DUST_REL, INF, ExtendedScalar, Kind, LCNumber,
-                            LCVector, format_lc, lc_sum)
+                            LCVector, _times_monomial, format_lc, lc_sum)
 
 
 def rnum(rng, backend="rational", max_terms=4, horizon=INF):
@@ -187,6 +187,24 @@ class TestInfinity:
             hash(a)
         with pytest.raises(TypeError):
             {a, b}
+
+
+class TestFloatOverflow:
+    def test_sum_product_and_scaling_refuse_overflow(self):
+        x = LCNumber({0: 1e200, 1: 1.0}, backend="float")
+        y = LCNumber({0: 1e308, 1: 1.0}, backend="float")
+        with pytest.raises(BackendError):
+            x * x
+        with pytest.raises(BackendError):
+            y + y
+        with pytest.raises(BackendError):
+            _times_monomial(x, x.terms, 1, 1e200, INF)
+
+    @pytest.mark.parametrize("c", [float("inf"), complex(0, float("nan")), 10 ** 400],
+                             ids=["inf", "nan", "10^400"])
+    def test_constructor_refuses_non_finite_input(self, c):
+        with pytest.raises(BackendError):
+            LCNumber({0: c}, backend="float")
 
 
 # -- the kernel against the Fraction-keyed accumulation it replaced ---------

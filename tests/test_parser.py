@@ -270,6 +270,16 @@ class TestBudget:
         assert out.startswith("error: work budget exceeded: a number literal of ")
         assert "\n" not in out
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="no int-to-str digit limit in this interpreter")
+    @pytest.mark.parametrize("text", ["1e4400", "st(2^20000)", "eps^(2^20000)"])
+    def test_long_result_is_refused_typed(self, capsys, text):
+        # the value is computed; only its text passes the digit limit
+        assert main(["eval", text]) == 3
+        out = capsys.readouterr().err.strip()
+        assert out.startswith("error: work budget exceeded: a number of about ")
+        assert "ValueError" not in out and "\n" not in out
+
     def test_literal_at_the_digit_limit_evaluates(self):
         digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
         assert ev("1" * digits).terms == ((0, int("1" * digits)),)
@@ -289,3 +299,22 @@ class TestBudget:
         # a finite horizon keeps a large power small
         y = ev("(1+eps)^100000", horizon=Fraction(3))
         assert y.terms == ((0, 1), (1, 100000), (2, 4999950000)) and y.horizon == 3
+
+
+class TestFloatEdges:
+    def test_signed_zero_parts_print_alike(self):
+        # a constant scaling a series follows the float rule of every product
+        a, b = ev("-2*(1j*eps)", backend="float"), ev("-(2*(1j*eps))", backend="float")
+        assert repr(a.terms) == repr(b.terms) == repr(((Fraction(1), complex(0.0, -2.0)),))
+        assert format_lc(a) == format_lc(b) == "(0.0-2.0j)*r^1"
+
+    @pytest.mark.parametrize("text", ["(1e200+eps)*(1e200+eps)", "1e200*(1e200*eps)",
+                                      "(1e308+eps)+(1e308+eps)", "exp(1000+eps)"])
+    def test_overflow_is_refused_typed(self, capsys, text):
+        with pytest.raises(BackendError):
+            ev(text, backend="float")
+        assert main(["--backend", "float", "eval", text]) == 3
+        cap = capsys.readouterr()
+        out = (cap.out + cap.err).strip()
+        assert out.startswith("error: ") and "\n" not in out
+        assert "OverflowError" not in out and "inf" not in out
