@@ -260,20 +260,23 @@ def lc_log(x: LCNumber, horizon=None) -> LCNumber:
 # ---------------------------------------------------------------------------
 
 class LCPolynomial:
-    """Univariate polynomial with LCNumber coefficients, a_0 + a_1 x + ..."""
+    """Univariate polynomial with LCNumber coefficients, a_0 + a_1 x + ...
+    Exact-zero top coefficients are trimmed; a top coefficient known to be
+    zero only below a finite horizon leaves the degree unknown (``OrderError``)."""
 
     __slots__ = ("coeffs", "backend")
 
     def __init__(self, coeffs: Sequence[LCNumber]):
         cs = list(coeffs)
-        while len(cs) > 1 and cs[-1].is_zero():
-            cs.pop()
         if not cs:
             raise OrderError("empty coefficient list")
-        b = cs[0].backend
-        for c in cs:
-            if not isinstance(c, LCNumber) or c.backend is not b:
-                raise BackendError("coefficients must be LCNumbers on one backend")
+        b = getattr(cs[0], "backend", None)
+        if any(not isinstance(c, LCNumber) or c.backend is not b for c in cs):
+            raise BackendError("coefficients must be LCNumbers on one backend")
+        while len(cs) > 1 and cs[-1].is_zero():
+            if cs[-1].horizon != INF:
+                raise OrderError(f"top coefficient is 0 + O(rho^{cs[-1].horizon}): unknown degree")
+            cs.pop()
         self.coeffs = tuple(cs)
         self.backend = b
 
@@ -299,18 +302,16 @@ class LCPolynomial:
         return LCPolynomial([c * k for k, c in enumerate(self.coeffs) if k >= 1])
 
     def shift(self, a: LCNumber) -> "LCPolynomial":
-        """Taylor shift: coefficients of p(a + y) in y."""
+        """Taylor shift: coefficients of p(a + y) in y, by repeated
+        synthetic division by y - a (Knuth, TAOCP vol. 2, §4.6.4): the
+        k-th pass leaves p^(k)(a)/k! in place k, with d(d+1)/2 series
+        products for degree d in all."""
+        c = list(self.coeffs)
         d = self.degree
-        p = self
-        fact = 1
-        out = [self(a)]
-        for j in range(1, d + 1):
-            p = p.derivative()
-            fact *= j
-            val = p(a)
-            out.append(LCNumber([(q, c / fact) for q, c in val.terms],
-                                horizon=val.horizon, backend=self.backend.value))
-        return LCPolynomial(out)
+        for k in range(d):
+            for j in range(d - 1, k - 1, -1):
+                c[j] = c[j] + a * c[j + 1]
+        return LCPolynomial(c)
 
     def __repr__(self):
         from .series import format_lc

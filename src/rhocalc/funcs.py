@@ -484,7 +484,6 @@ def eval_at(f: AsymptoticFunction, p: AsymptoticPoint,
 class ModerateReport:
     moderate: bool
     witness_n: Optional[int]
-    term_sups: Tuple = ()
 
 
 def _grid_sup(prov: SmoothProvider, K: CompactBox, alpha) -> Tuple[float, float]:
@@ -505,18 +504,17 @@ def is_moderate(f: AsymptoticFunction, K: CompactBox,
     raises ``ProviderError`` instead."""
     if not K.inside(f.domain):
         raise DomainError("K is not compactly contained in the domain")
-    sups = []
+    nonzero = []
     for q, prov in f.terms:
         for alpha in _multi_indices(f.domain.dim, max_alpha):
             s0, s1 = _grid_sup(prov, K, alpha)
             if s1 > GROWTH_RATIO * max(s0, 1e-300) and s1 > 1e6:
                 raise ProviderError(
                     f"coefficient sup at alpha={alpha} grows without bound on K")
-            if sum(alpha) == 0:
-                sups.append((q, s1))
-    nonzero = [q for q, s in sups if s > 0]
+            if sum(alpha) == 0 and s1 > 0:
+                nonzero.append(q)
     n = max(0, int(math.ceil(-min(nonzero)))) if nonzero else 0
-    return ModerateReport(True, n, tuple(sups))
+    return ModerateReport(True, n)
 
 
 class NegligibilityMode(Enum):
@@ -556,24 +554,25 @@ def is_negligible(f: AsymptoticFunction, K: CompactBox,
 # Pairing and weak equality
 # ---------------------------------------------------------------------------
 
-def _quad_nodes(lo, hi, panels: int, order: int):
-    """Composite Gauss-Legendre nodes/weights on a box (tensorized)."""
-    x, w = np.polynomial.legendre.leggauss(order)
+def _quad_nodes(lo, hi, panels: int):
+    """Composite 24-point Gauss-Legendre nodes/weights on a box: ``panels``
+    equal panels per axis, tensorized.  The fixed grid for integrands whose
+    pieces it covers exactly (bump moments, kernel convolutions)."""
+    x, w = np.polynomial.legendre.leggauss(24)
     nodes_1d, weights_1d = [], []
     for a, b in zip(lo, hi):
         edges = np.linspace(a, b, panels + 1)
-        ns, ws = [], []
-        for e0, e1 in zip(edges, edges[1:]):
-            mid, half = (e0 + e1) / 2, (e1 - e0) / 2
-            ns.append(mid + half * x)
-            ws.append(half * w)
-        nodes_1d.append(np.concatenate(ns))
-        weights_1d.append(np.concatenate(ws))
-    pts = _mesh(nodes_1d)
-    wt = weights_1d[0]
-    for ww in weights_1d[1:]:
-        wt = np.multiply.outer(wt, ww)
-    return pts, wt.ravel()
+        e0, e1 = edges[:-1, None], edges[1:, None]
+        mid, half = (e0 + e1) / 2, (e1 - e0) / 2
+        nodes_1d.append((mid + half * x).ravel())
+        weights_1d.append((half * w).ravel())
+    return _mesh(nodes_1d), np.prod(_mesh(weights_1d), axis=1)
+
+
+def _box_edges(lo, hi, hints) -> List[List[float]]:
+    """Per-axis cuts of the box [lo, hi] for ``_integrate``: each axis runs
+    from its low end through the hints strictly inside to its high end."""
+    return [[a] + sorted({h for h in hints if a < h < b}) + [b] for a, b in zip(lo, hi)]
 
 
 def _gather_hints(prov, acc: set):
@@ -677,11 +676,10 @@ def pair(f: AsymptoticFunction, tau, quad_tol: float = 1e-12) -> LCNumber:
     if not any(supp.inside(bb) for bb in f.domain.boxes):
         raise DomainError("test-function support leaks outside the domain")
     terms = {}
-    hints = set(h for h in (tau.quad_hints() if hasattr(tau, "quad_hints") else []))
     for q, prov in f.terms:
-        hs = set(hints)
+        hs = set(tau.quad_hints())
         _gather_hints(prov, hs)
-        edges = [[a] + sorted(h for h in hs if a < h < b) + [b] for a, b in zip(lo, hi)]
+        edges = _box_edges(lo, hi, hs)
 
         def fn(pts, prov=prov):
             return prov.evaluate(pts) * tau.evaluate(pts)
@@ -694,7 +692,6 @@ def pair(f: AsymptoticFunction, tau, quad_tol: float = 1e-12) -> LCNumber:
 @dataclass(frozen=True)
 class WeakEqualityReport:
     equal: bool
-    note: str = "relative to supplied tests"
     failing_index: Optional[int] = None
 
 
@@ -702,11 +699,10 @@ def weak_equal(f: AsymptoticFunction, g: AsymptoticFunction,
                tests: Sequence, probe: int = 6,
                quad_tol: float = 1e-9) -> WeakEqualityReport:
     d = fn_sub(f, g)
-    scale = 1.0
     for i, tau in enumerate(tests):
         pd = pair(d, tau)
         for q, c in pd.terms:
-            if q <= probe and abs(c) > quad_tol * scale:
+            if q <= probe and abs(c) > quad_tol:
                 return WeakEqualityReport(False, failing_index=i)
     return WeakEqualityReport(True)
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, MomentSystemError, ParameterError, SpecError
 from .funcs import (AsymptoticFunction, CallableProvider, Domain, SmoothProvider,
-                    SumProvider, _alpha_tuple, _as_points, _integrate,
+                    SumProvider, _alpha_tuple, _as_points, _box_edges, _integrate,
                     _multi_indices, _quad_nodes, pair)
 
 MOLLIFIER_BOUND_1D = 8   # largest supported moment order in dimension 1
@@ -153,21 +153,13 @@ class TestFunction:
             total += coeff * _piece_moments(center, width, [a])[0]
         return total
 
-    def shifted(self, offset: Sequence[float], scale: float = 1.0) -> "TestFunction":
-        """Θ((x - offset)/1) translated copy (used for off-center tests)."""
-        off = tuple(float(o) for o in offset)
-        pieces = tuple((c, tuple(ci + oi for ci, oi in zip(center, off)), w)
-                       for c, center, w in self.pieces)
-        r = self.support_radius + max(abs(o) for o in off)
-        return TestFunction(self.dim, pieces, r, self.l1_mass, self.moment_order)
-
 
 def _piece_moments(center, width: float, alphas) -> List[float]:
     """∫ x^alpha ψ((x - center)/width) dx for each alpha, from one
     evaluation of the bump on its Gauss nodes."""
     lo = tuple(c - width for c in center)
     hi = tuple(c + width for c in center)
-    pts, wts = _quad_nodes(lo, hi, panels=6, order=24)
+    pts, wts = _quad_nodes(lo, hi, panels=6)
     bump = _bump_nd(pts, center, width, (0,) * len(center))
     out = []
     for a in alphas:
@@ -296,14 +288,10 @@ class DeltaKernel:
         """Gauss nodes/weights exactly covering the kernel's bump pieces
         (the pieces have disjoint supports, so per-piece panels integrate
         the kernel to near machine precision)."""
-        ns, ws = [], []
-        for _, center, width in self.theta.pieces:
-            lo = tuple(self.rho * (c - width) for c in center)
-            hi = tuple(self.rho * (c + width) for c in center)
-            n, w = _quad_nodes(lo, hi, panels=10, order=24)
-            ns.append(n)
-            ws.append(w)
-        return np.concatenate(ns, axis=0), np.concatenate(ws, axis=0)
+        parts = [_quad_nodes([self.rho * (c - width) for c in center],
+                             [self.rho * (c + width) for c in center], panels=10)
+                 for _, center, width in self.theta.pieces]
+        return np.concatenate([n for n, _ in parts]), np.concatenate([w for _, w in parts])
 
 
 def rho_delta(theta: TestFunction, rho: float) -> DeltaKernel:
@@ -457,13 +445,14 @@ class _HeavisideConv(SmoothProvider):
 
 
 class _ConvolutionProvider(SmoothProvider):
-    """((g·Π) ⋆ D)(x) by Gauss quadrature over the kernel support;
-    ∂^alpha routes to the kernel: ∂^alpha (h ⋆ D) = h ⋆ ∂^alpha D."""
+    """((g·Π) ⋆ D)(x) by Gauss quadrature over the kernel support, on the
+    cut-off's kernel nodes; ∂^alpha routes to the kernel:
+    ∂^alpha (h ⋆ D) = h ⋆ ∂^alpha D."""
 
-    def __init__(self, g: SmoothProvider, cut: CutoffProvider, kernel: DeltaKernel):
-        self.g, self.cut, self.kernel = g, cut, kernel
-        self.dim = kernel.dim
-        self._nodes, self._weights = kernel.quad_nodes()
+    def __init__(self, g: SmoothProvider, cut: CutoffProvider):
+        self.g, self.cut, self.kernel = g, cut, cut.kernel
+        self.dim = cut.dim
+        self._nodes, self._weights = cut._nodes, cut._weights
 
     def evaluate(self, points, alpha=None):
         a = _alpha_tuple(alpha, self.dim)
@@ -507,7 +496,7 @@ def _embed_provider(T, dom: Domain, kernel: DeltaKernel,
             raise SpecError("Heaviside embedding is implemented in dimension 1")
         return _HeavisideConv(kernel)
     if isinstance(T, LocallyIntegrableKernel):
-        return _ConvolutionProvider(T.provider, cut, kernel)
+        return _ConvolutionProvider(T.provider, cut)
     if isinstance(T, FiniteCombination):
         provs = [_embed_provider(spec, dom, kernel, cut) for _, spec in T.parts]
         return SumProvider(provs, [complex(c) for c, _ in T.parts])
@@ -518,21 +507,25 @@ _QUAD_DEFAULT_TOL = 1.49e-8   # QUADPACK's customary epsabs = epsrel
 
 
 def reference_pairing(T: DistributionSpec, tau: TestFunction) -> complex:
-    """⟨T, τ⟩ computed directly from the definition of T."""
+    """⟨T, τ⟩ computed directly from the definition of T: values of τ for δ
+    and its derivatives; ∫τ over (0, ∞) for H and ∫τ·g for a locally
+    integrable g, each by the adaptive ``_integrate`` at ``_QUAD_DEFAULT_TOL``
+    on τ's support box cut at its breakpoint hints."""
     if isinstance(T, DeltaAt):
         return tau.at(T.point)
     if isinstance(T, DerivativeOfDelta):
         a = _alpha_tuple(T.alpha, tau.dim)
         return (-1) ** sum(a) * tau.at(T.point, a)
     if isinstance(T, Heaviside):
-        hi = tau.support_radius
-        edges = [0.0] + [h for h in tau.quad_hints() if 0 < h < hi] + [hi]
-        val, _ = _integrate(tau.evaluate, [edges], _QUAD_DEFAULT_TOL, _QUAD_DEFAULT_TOL)
+        edges = _box_edges((0.0,), (tau.support_radius,), tau.quad_hints())
+        val, _ = _integrate(tau.evaluate, edges, _QUAD_DEFAULT_TOL, _QUAD_DEFAULT_TOL)
         return float(val)
     if isinstance(T, LocallyIntegrableKernel):
         lo, hi = tau.support_box()
-        pts, wts = _quad_nodes(lo, hi, panels=12, order=20)
-        return complex(np.sum(wts * tau.evaluate(pts) * T.provider.evaluate(pts)))
+        val, _ = _integrate(lambda pts: tau.evaluate(pts) * T.provider.evaluate(pts),
+                            _box_edges(lo, hi, tau.quad_hints()),
+                            _QUAD_DEFAULT_TOL, _QUAD_DEFAULT_TOL)
+        return complex(val)
     if isinstance(T, FiniteCombination):
         return sum(complex(c) * reference_pairing(spec, tau) for c, spec in T.parts)
     raise SpecError(f"unsupported distribution spec {type(T).__name__}")

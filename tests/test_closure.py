@@ -380,6 +380,56 @@ class TestPolynomial:
         assert abs(q.coeffs[0].coefficient(Fraction(0)) - 1) < 1e-14
         assert abs(q.coeffs[1].coefficient(Fraction(0)) - 2) < 1e-14
 
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_shift_is_the_taylor_sum(self, data):
+        # exact coefficients: place k of p(a + y) is p^(k)(a)/k!
+        p, a = data.draw(_polys()), data.draw(_series())
+        got, deriv = p.shift(a), p
+        assert got.degree == p.degree
+        for k, c in enumerate(got.coeffs):
+            want = deriv(a) * Fraction(1, math.factorial(k))
+            assert c.terms == want.terms and c.horizon == want.horizon == INF
+            deriv = deriv.derivative()
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_shift_of_cut_coefficients_is_sound(self, data):
+        # each shifted coefficient agrees with the exact shift below its horizon
+        p, a = data.draw(_polys()), data.draw(_series())
+        cut = LCPolynomial([c.truncate(c.valuation() + data.draw(st.integers(1, 6)))
+                            for c in p.coeffs])
+        for got, want in zip(cut.shift(a).coeffs, p.shift(a).coeffs):
+            assert got.horizon < INF
+            assert got.terms == want.truncate(got.horizon).terms
+
+    def test_unknown_degree_is_refused(self):
+        # 0 + O(rho^5) on top fits rho^6 x^2 + rho x + 1 as well as rho x + 1
+        with pytest.raises(OrderError):
+            LCPolynomial([R ** 0, R, LCNumber({}, horizon=5, backend="rational")])
+        assert LCPolynomial([R ** 0, R, R * 0]).degree == 1
+
+    @pytest.mark.parametrize("coeffs", [[R, 3], [3, R]], ids=["scalar-top", "scalar-bottom"])
+    def test_non_series_coefficient_is_a_backend_error(self, coeffs):
+        with pytest.raises(BackendError):
+            LCPolynomial(coeffs)
+
+
+@st.composite
+def _series(draw):
+    """An exact rational series with 1-3 terms on the lattice 1/den."""
+    den = draw(st.integers(1, 3))
+    ks = draw(st.lists(st.integers(-2 * den, 4 * den), min_size=1, max_size=3, unique=True))
+    return LCNumber({Fraction(k, den): Fraction(draw(st.integers(-5, 5).filter(bool)),
+                                                draw(st.integers(1, 4))) for k in ks},
+                    backend="rational")
+
+
+@st.composite
+def _polys(draw):
+    """A polynomial of degree 1-4 with exact series coefficients."""
+    return LCPolynomial([draw(_series()) for _ in range(draw(st.integers(2, 5)))])
+
 
 def _residual_ok(poly, root, target=8):
     tol = 1e-9 * _poly_scale(poly, root.value)

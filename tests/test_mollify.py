@@ -154,6 +154,34 @@ class TestEmbedding:
         assert abs(got - want) < 1e-3
 
 
+def _psi(t):
+    return math.exp(-1 / (1 - t * t)) if abs(t) < 1 else 0.0
+
+
+class TestReferencePairing:
+    """The locally integrable branch against independent scipy ``quad``."""
+
+    def test_smooth_one_dim(self):
+        tau = reference_bump(1, 0.1, 0.7)
+        (coeff, (c,), w), = tau.pieces
+        got = reference_pairing(LocallyIntegrableKernel(ExprProvider("exp(-x1**2)", dim=1)), tau)
+        want, _ = integrate.quad(lambda x: coeff * _psi((x - c) / w) * math.exp(-x * x),
+                                 c - w, c + w, epsabs=0, epsrel=1e-13, limit=200)
+        assert abs(got - want) <= 1e-11 * abs(want)
+
+    def test_smooth_two_dim_separable(self):
+        tau = reference_bump(2, (0.1, -0.05), 0.8)
+        (coeff, center, w), = tau.pieces
+        g = LocallyIntegrableKernel(ExprProvider("exp(-x1**2 - x2**2)", dim=2))
+        got = reference_pairing(g, tau)
+        want = coeff
+        for c in center:
+            val, _ = integrate.quad(lambda x: _psi((x - c) / w) * math.exp(-x * x),
+                                    c - w, c + w, epsabs=0, epsrel=1e-13, limit=200)
+            want *= val
+        assert abs(got - want) <= 1e-11 * abs(want)
+
+
 class TestRates:
     def test_delta_rate_order(self):
         tau = reference_bump(1, center=0.15, width=0.7)
