@@ -287,11 +287,15 @@ class LCPolynomial:
     def __call__(self, x: LCNumber, below=INF) -> LCNumber:
         """p(x); with ``below``, only its terms below that exponent: each
         Horner partial sum is cut where the products still to come can
-        reach, so the products stop there too."""
-        out = LCNumber.zero(backend=self.backend.value)
+        reach, so the products stop there too.  Horner starts at a_d, which
+        is 0*x + a_d: no float coefficient has a -0.0 part (``LCNumber``
+        sums each into 0, and results are built as 0 + p)."""
+        d = self.degree
         mu = 0 if x.is_zero() else x.valuation()
-        for j in range(self.degree, -1, -1):
-            out = out * x + self.coeffs[j]
+        out = self.coeffs[d]
+        for j in range(d, -1, -1):
+            if j < d:
+                out = out * x + self.coeffs[j]
             if below != INF:
                 out = out.truncate(below - j * mu)
         return out
@@ -449,11 +453,14 @@ def _puiseux(poly: LCPolynomial, target: Fraction, depth: int,
         roots.append((LCNumber.zero(backend="float").truncate(h), k0))
     if k0 == len(cs) - 1:
         return roots
+    dp = None      # p', built for the first simple root and shared by the rest
     for mu, i1, clusters in _segment_roots(cs[k0:], below):
         for c0, mult in clusters:
             lead = LCNumber({mu: c0}, backend="float")
             if mult == 1:
-                roots.append((_newton_refine(poly, lead, target), 1))
+                if dp is None:
+                    dp = poly.derivative()
+                roots.append((_newton_refine(poly, dp, lead, target), 1))
             elif mu >= target:
                 roots.append((lead.truncate(_zero_horizon(cs, k0 + i1, target)), mult))
             else:
@@ -482,9 +489,11 @@ def _clean(x: LCNumber, tol: float) -> LCNumber:
     return x._make(tuple(t for t in x.terms if abs(t[1]) > tol), x.horizon)
 
 
-def _newton_refine(poly: LCPolynomial, x0: LCNumber, target: Fraction) -> LCNumber:
-    """Newton iteration from the simple-root lead x0 (valuation mu) until
-    the step f(x)/f'(x) has valuation >= target.
+def _newton_refine(poly: LCPolynomial, dp: LCPolynomial, x0: LCNumber,
+                   target: Fraction) -> LCNumber:
+    """Newton iteration for f = ``poly`` with f' = ``dp``, from the
+    simple-root lead x0 (valuation mu) until the step f(x)/f'(x) has
+    valuation >= target.
 
     A step of valuation s leaves an error of valuation >= 2s - mu, so each
     step is computed only below that exponent, and the next f(x) below
@@ -493,8 +502,6 @@ def _newton_refine(poly: LCPolynomial, x0: LCNumber, target: Fraction) -> LCNumb
     target + v(f'(x)) (or at the horizon of the coefficients).  The root
     is known only below horizon(f(x)) - v(f'(x)): past that, the unknown
     tail of the coefficients can move it."""
-    dp = poly.derivative()
-
     def derivative(x, below=INF):
         dx = dp(x, below=below)
         if dx.is_zero():

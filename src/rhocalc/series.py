@@ -18,7 +18,12 @@ carried through as it is, and a new coefficient is built only where terms
 meet.  Rational products also put each factor's coefficients over their
 common denominator D, accumulate integer products per lattice exponent,
 and build one ``Fraction(k, L)`` and one ``Fraction(n, Da*Db)`` per term
-of the result.  Comparisons (``==``, the order, ``same_monad`` and
+of the result.  A float product whose pair products at an exponent all
+underflow to 0 cuts its horizon there: that coefficient is unknown, not
+zero.  Work whose
+result is known is skipped: a truncation at or past the horizon returns
+the number itself, and a product of exact factors is exact without
+horizon arithmetic.  Comparisons (``==``, the order, ``same_monad`` and
 ``same_galaxy``) read the leading term of x - y without building it: they
 walk both term tuples to the first exponent below the joint horizon at
 which they differ, so they cost what the common leading run costs.  The
@@ -33,15 +38,19 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (BackendError, BudgetError, DimensionError, DivisionByZero,
                      OrderError)
 
-INF = math.inf         # horizon of an exact series, valuation of zero
+INF = math.inf         # horizon of an exact series, valuation of zero; a
+                       # horizon is a Fraction or INF, so ``type(h) is float``
+                       # tells INF apart without a Fraction comparison
 DUST_REL = 1e-13       # float backend: relative magnitude below which a
                        # coefficient is treated as accumulated roundoff
 
@@ -93,12 +102,18 @@ def _kept(c: complex, mag: float) -> bool:
 
 def _lattice_den(term_tuples) -> int:
     """L: the common denominator of the exponents of the term tuples."""
-    return math.lcm(*(q.denominator for t in term_tuples for q, _ in t))
+    L = 1
+    for terms in term_tuples:
+        for q, _ in terms:
+            d = q.denominator
+            if L % d:      # not for d = 1, nor for a d that L already holds
+                L = math.lcm(L, d)
+    return L
 
 
 def _top(h, L: int):
     """ceil(h*L): the least lattice numerator at or beyond the horizon h."""
-    return h if h == INF else -(-h.numerator * L // h.denominator)
+    return h if type(h) is float else -(-h.numerator * L // h.denominator)
 
 
 # Work budget: an operation whose estimated work passes either bound is
@@ -204,10 +219,15 @@ def lc_sum(summands) -> "LCNumber":
 def _product_horizon(a, b):
     """min(h1 + v2, h2 + v1) for a, b with ``.terms`` and ``.horizon``: one
     factor's unknown tail meets the other's lead, which is its horizon if
-    it has no terms."""
-    va = a.terms[0][0] if a.terms else a.horizon
-    vb = b.terms[0][0] if b.terms else b.horizon
-    return min(a.horizon + vb, b.horizon + va)
+    it has no terms.  An exact factor contributes no bound."""
+    ha, hb = a.horizon, b.horizon
+    va = a.terms[0][0] if a.terms else ha
+    vb = b.terms[0][0] if b.terms else hb
+    if type(ha) is float:
+        return INF if type(hb) is float else hb + va
+    if type(hb) is float:
+        return ha + vb
+    return min(ha + vb, hb + va)
 
 
 def _times_monomial(x: "LCNumber", terms, v, c, horizon) -> "LCNumber":
@@ -304,7 +324,8 @@ class LCNumber:
         """Normalise arbitrary ``(exponent, coefficient)`` pairs: Fraction
         exponents, backend coefficients, equal exponents summed, zeros and
         terms at or past the horizon dropped, sorted.  Results of arithmetic
-        are normal already and skip this through :meth:`_make`."""
+        are normal already and skip this through :meth:`_make`.  Each
+        coefficient is summed into 0, so no float part is -0.0."""
         backend = _coerce_backend(backend)
         horizon = _as_exp(horizon) if horizon != INF else INF
         items = terms.items() if isinstance(terms, Mapping) else (terms or ())
@@ -357,9 +378,15 @@ class LCNumber:
         return not self.terms
 
     def truncate(self, h) -> "LCNumber":
-        h = _as_exp(h) if h != INF else INF
-        h = min(h, self.horizon)
-        return self._make(tuple(t for t in self.terms if t[0] < h), h)
+        """x with its terms below h; x itself when h is at or past its
+        horizon, below which its terms already lie."""
+        if type(h) is not Fraction:
+            if h == INF:
+                return self
+            h = _as_exp(h)
+        if type(self.horizon) is float or h < self.horizon:
+            return self._make(self.terms[:bisect_left(self.terms, h, key=itemgetter(0))], h)
+        return self
 
     # -- valuation ----------------------------------------------------
     def valuation(self) -> Fraction:
@@ -434,10 +461,27 @@ class LCNumber:
                 if k >= top:
                     break
                 p = c1 * c2
-                acc[k] = acc.get(k, 0) + p
-                mag[k] = max(mag.get(k, 0.0), abs(p))
-        return self._make(tuple((Fraction(k, L), c) for k, c in sorted(acc.items())
-                                if _kept(c, mag[k])), h)
+                m = abs(p)
+                if k in acc:
+                    acc[k] += p
+                    if m > mag[k]:
+                        mag[k] = m
+                else:
+                    acc[k] = 0 + p     # no -0.0 part, as in every sum here
+                    mag[k] = m
+        out = []
+        for k in sorted(acc):
+            if not mag[k]:
+                # every product at k underflowed: its coefficient, and so
+                # every one from k on, is unknown; an overflow past k is
+                # still refused
+                h = Fraction(k, L)
+                for c in acc.values():
+                    _finite(c)
+                break
+            if _kept(acc[k], mag[k]):
+                out.append((Fraction(k, L), acc[k]))
+        return self._make(tuple(out), h)
 
     __rmul__ = __mul__
 

@@ -618,6 +618,53 @@ class TestNewtonPrecision:
             assert _exact_residual_ok(p, r.value, tol, precision)
 
 
+class TestWorkCounts:
+    @staticmethod
+    def _counting(monkeypatch, owner, name, calls):
+        orig = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counting)
+
+    @pytest.mark.parametrize("below", [INF, Fraction(5, 2)])
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_horner_makes_one_product_per_degree(self, monkeypatch, backend, below):
+        one = Fraction(1) if backend == "rational" else 1.0
+        p = LCPolynomial([LCNumber({0: one * (k + 1), Fraction(1, 2): one}, backend=backend)
+                          for k in range(5)])
+        x = LCNumber({Fraction(1, 2): one, 1: one * 3}, backend=backend)
+        want = p(x, below=below)
+        calls = []
+        for name in ("__mul__", "__rmul__", "__init__"):
+            self._counting(monkeypatch, LCNumber, name, calls)
+        got = p(x, below=below)
+        monkeypatch.undo()
+        assert sorted(calls) == ["__mul__"] * p.degree
+        assert got.terms == want.terms and got.horizon == want.horizon
+
+    def test_horner_of_a_constant_has_no_negative_zero(self):
+        # p(x) = a_0 is returned as a_0, which is 0*x + a_0 bit for bit
+        p = LCPolynomial([LCNumber({0: -1j}, backend="float")])
+        got = p(LCNumber({1: 2.0}, backend="float")).terms
+        assert got == ((0, -1j),) and repr(got[0][1]) == "-1j"
+
+    def test_poly_roots_builds_one_derivative(self, monkeypatch):
+        # a generic quartic: four simple roots on one Newton-polygon segment
+        rng = random.Random(5)
+        p = LCPolynomial([LCNumber({0: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+                                    1: complex(rng.uniform(-1, 1), 0)}, backend="float")
+                          for _ in range(4)] + [LCNumber.from_scalar(1.0)])
+        calls = []
+        self._counting(monkeypatch, LCPolynomial, "derivative", calls)
+        roots = poly_roots(p)
+        monkeypatch.undo()
+        assert [r.multiplicity for r in roots] == [1] * 4
+        assert all(_residual_ok(p, r) for r in roots)
+        assert calls == ["derivative"]
+
+
 class TestIntervals:
     def test_nested_point(self):
         lo = [LCNumber.from_scalar(Fraction(0), "rational"),

@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from rhocalc import parser
 from rhocalc.errors import BackendError, DimensionError, OrderError
 from rhocalc.series import (DUST_REL, INF, ExtendedScalar, Kind, LCNumber,
-                            LCVector, _times_monomial, format_lc, lc_sum)
+                            LCVector, _product_horizon, _times_monomial, format_lc,
+                            lc_sum)
 
 
 def rnum(rng, backend="rational", max_terms=4, horizon=INF):
@@ -206,6 +209,67 @@ class TestFloatOverflow:
         with pytest.raises(BackendError):
             LCNumber({0: c}, backend="float")
 
+    @pytest.mark.parametrize("c", [-1j, complex(-0.0, 2.0)])
+    def test_constructor_keeps_no_negative_zero_part(self, c):
+        for x in (LCNumber({0: c}, backend="float"), LCNumber.from_scalar(c)):
+            assert math.copysign(1.0, x.terms[0][1].real) == 1.0
+
+
+# coefficients 1e-200 .. 1e200: pair products underflow, overflow, or land
+# anywhere in between
+WIDE_COEFFS = st.builds(lambda s, m, e: s * m * 10.0 ** e, st.sampled_from((1, -1)),
+                        st.sampled_from((1.0, 2.5, 7.0)), st.integers(-200, 200))
+SMALL_EXPS = st.builds(Fraction, st.integers(-3, 6), st.sampled_from((1, 2)))
+
+
+class TestFloatUnderflow:
+    def test_product_that_underflows_cuts_the_horizon(self):
+        x = LCNumber({1: 1e-200}, backend="float")
+        for sq in (x * x, x ** 2):
+            assert sq.terms == () and sq.horizon <= 2
+        y = LCNumber({0: 1e-200, 2: 1.0}, backend="float")
+        assert (y * y).horizon <= 0
+
+    def test_overflow_past_an_underflow_cut_is_refused(self):
+        # the rho^0 coefficient underflows, the rho^2 one is 1e400
+        x = LCNumber({0: 1e-200, 1: 1e200}, backend="float")
+        with pytest.raises(BackendError):
+            x * x
+        with pytest.raises(BackendError):
+            x ** 2
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.dictionaries(SMALL_EXPS, WIDE_COEFFS, min_size=1, max_size=5),
+           st.dictionaries(SMALL_EXPS, WIDE_COEFFS, min_size=1, max_size=5))
+    def test_product_horizon_is_sound_at_every_magnitude(self, xt, yt):
+        x, y = LCNumber(xt, backend="float"), LCNumber(yt, backend="float")
+        exact, mag, pairs = {}, {}, {}
+        for q1, c1 in xt.items():
+            for q2, c2 in yt.items():
+                q, p = q1 + q2, Fraction(c1) * Fraction(c2)
+                exact[q] = exact.get(q, 0) + p
+                mag[q] = max(mag.get(q, 0), abs(p))
+                pairs[q] = pairs.get(q, 0) + 1
+        try:
+            got = x * y
+        except BackendError:
+            # refused as an overflow: a pair product, or a sum of them, is
+            # out of the double range
+            assert max(mag.values()) * max(pairs.values()) * 2 > sys.float_info.max
+            return
+        # and every pair product that overflows is refused, at any exponent
+        assert max(mag.values()) <= 2 * Fraction(sys.float_info.max)
+        # v(xy) = v(x) + v(y) below the horizon: the lead is one nonzero pair
+        v = min(xt) + min(yt)
+        assert v >= got.horizon or got.valuation() == v
+        # every coefficient below the horizon is the exact one up to roundoff
+        # of what was summed there (and to the subnormal spacing)
+        g = dict(got.terms)
+        for q, e in exact.items():
+            if q < got.horizon:
+                err = abs(Fraction(g.get(q, 0j).real) - e)
+                assert err <= Fraction(1e-12) * mag[q] + pairs[q] * Fraction(2.0 ** -1074)
+
 
 # -- the kernel against the Fraction-keyed accumulation it replaced ---------
 
@@ -357,6 +421,32 @@ class TestKernel:
                 scale[q] = scale.get(q, 0.0) + abs(c)
         for q in set(g) | set(f):
             assert abs(g.get(q, 0) - f.get(q, 0)) <= 1e-12 * scale[q]
+
+    @settings(deadline=None)
+    @given(st.data(), st.sampled_from(("rational", "float")))
+    def test_product_horizon_is_the_rule(self, data, backend):
+        # min(h1 + v2, h2 + v1), a factor with no terms leading at its
+        # horizon; INF for two exact factors
+        x, y = data.draw(lcnums(backend)), data.draw(lcnums(backend))
+        x, y = data.draw(st.sampled_from((x, LCNumber((), x.horizon, backend)))), \
+            data.draw(st.sampled_from((y, LCNumber((), y.horizon, backend))))
+        v1 = x.terms[0][0] if x.terms else x.horizon
+        v2 = y.terms[0][0] if y.terms else y.horizon
+        assert _product_horizon(x, y) == min(x.horizon + v2, y.horizon + v1)
+
+    @pytest.mark.parametrize("backend", ["rational", "float"])
+    def test_truncate_at_or_past_the_horizon_is_the_number(self, backend):
+        x = LCNumber({0: 1, Fraction(1, 2): 2, Fraction(5, 2): 3}, horizon=3, backend=backend)
+        for h in (3, Fraction(7, 2), 10 ** 30, INF):
+            assert x.truncate(h) is x
+        e = LCNumber({0: 1}, backend=backend)
+        assert e.truncate(INF) is e
+        cut = x.truncate(Fraction(5, 2))
+        assert cut.terms == x.terms[:2] and cut.horizon == Fraction(5, 2)
+        with pytest.raises(OrderError):
+            x.truncate("a")
+        with pytest.raises(OrderError):
+            e.truncate("a")
 
     @settings(deadline=None)
     @given(lcnums("rational"), lcnums("rational"), lcnums("rational"))
